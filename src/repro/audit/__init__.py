@@ -2,7 +2,7 @@
 
 The engine's correctness story rests on one property: a parallel region
 produces bit-identical results no matter how its events interleave, because
-every order-sensitive reduction is staged and applied in canonical content
+every order-sensitive reduction is staged and applied in provenance
 order.  This package turns that claim into a machine-checked property:
 
 - :mod:`repro.audit.invariants` — the conservation checker wired behind

@@ -164,14 +164,14 @@ def _process_message(exc: "JobExecution", machine: "Machine",
         return tally
     if msg.kind is MsgKind.WRITE_REQ:
         n = msg.item_count
-        # Stage rather than apply: the values land in canonical content
-        # order when the main phase ends (JobExecution._apply_staged_group),
-        # so the reduction result is independent of delivery order — the
+        # Stage rather than apply: the values land in provenance order when
+        # the main phase ends (JobExecution._apply_staged_writes), so the
+        # reduction result is independent of delivery order — the
         # invariant that lets jobs interleave with other tenants and still
         # reproduce their standalone results bit for bit.  The copier still
         # pays the apply cost here, on its own timeline.
-        exc.stage_write(machine.index, msg.prop, msg.op, msg.offsets,
-                        msg.values)
+        exc.stage_write(machine.index, msg.src, msg.prop, msg.op,
+                        msg.offsets, msg.values, msg.keys)
         exc.stats.atomic_ops += n
         tally = WorkTally(cpu_ops=n * per_item_ops, atomic_ops=n,
                           seq_bytes=n * 2 * VALUE_BYTES)
@@ -190,10 +190,10 @@ def _process_message(exc: "JobExecution", machine: "Machine",
             atomic = 0
         else:
             # Post-sync: reduce partials into the owner's property column —
-            # staged like WRITE_REQ and applied in canonical order when the
-            # post-sync phase completes (arrival order varies under shared-
-            # fabric contention; content does not).
-            exc.stage_ghost_reduce(machine.index, msg.prop, msg.op,
+            # staged and applied per source machine in ascending order when
+            # the post-sync phase completes (arrival order varies under
+            # shared-fabric contention; the sources do not).
+            exc.stage_ghost_reduce(machine.index, msg.src, msg.prop, msg.op,
                                    msg.offsets, msg.values)
             atomic = n
         tally = WorkTally(cpu_ops=n * per_item_ops, atomic_ops=atomic,

@@ -43,6 +43,8 @@ class ScalarWriteBuffer:
 
     offsets: list[int] = field(default_factory=list)
     values: list[Any] = field(default_factory=list)
+    #: provenance key per write (see :meth:`DataManager.write_remote`)
+    keys: list[int] = field(default_factory=list)
 
     @property
     def nbytes(self) -> float:
@@ -128,9 +130,13 @@ class DataManager:
     # ------------------------------------------------------------------
 
     def write_remote(self, worker: int, vertex: int, prop: str, value,
-                     op: ReduceOp) -> None:
+                     op: ReduceOp, key: int) -> None:
         """The paper's ``write_remote<OP>()``: apply immediately when the
-        target is local or ghosted, otherwise buffer a write request."""
+        target is local or ghosted, otherwise buffer a write request.
+
+        ``key`` is the write's provenance key: the issuing edge's (or, for
+        node tasks, node's) local index, like the vectorized path's, so
+        both stage into the same order."""
         m = self.machine
         ws = self.exec.worker_state(m.index, worker)
         if m.is_local(vertex):
@@ -167,6 +173,7 @@ class DataManager:
         buf = ws.scalar_write_buf(owner, prop, op)
         buf.offsets.append(int(offset))
         buf.values.append(value)
+        buf.keys.append(key)
         self.exec.stats.remote_writes += 1
         ws.maybe_flush_writes(owner, prop)
 

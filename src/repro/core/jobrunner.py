@@ -29,7 +29,7 @@ from .faults import ReliabilityLayer
 from .job import EdgeMapJob, Job, NodeKernelJob, TaskJob
 from .messages import Message, MsgKind, SideStructure
 from .properties import ReduceOp
-from .routing_plan import canonical_apply
+from .routing_plan import PROVENANCE_SHIFT, canonical_apply, edge_rows
 from .task_manager import (MachineWindowStream, WorkerState, build_windows,
                            wake_worker)
 from . import barrier as barrier_mod
@@ -89,10 +89,12 @@ class JobExecution:
         #: conservation checker (repro.audit): per-request accounting while
         #: the job runs, invariants enforced at finalize.  None => zero cost.
         self.audit = AuditTracker() if ecfg.audit else None
-        #: canonical content-ordered staging (the determinism invariant);
-        #: disabling exists only as the audit harness's negative control.
+        #: provenance-ordered staging (the determinism invariant); False
+        #: applies in arrival order — only the audit harness's negative
+        #: control does that.
         self.content_sorted = ecfg.content_sorted_staging
-        #: array-native fast paths (cached staging sort); host-side only
+        #: array-native host fast paths (scratch gathers, combine cache,
+        #: guarded emits, message pooling); host-side only
         self.array_native = ecfg.array_native_events
         #: message/side-structure free lists — safe only when nothing can
         #: retain a message past its terminal hop, so pooling is off
@@ -183,22 +185,22 @@ class JobExecution:
         self._postsync_pending = 0
 
         #: per-machine staging of remote read-response contributions for the
-        #: vectorized path.  Responses are *priced* when they arrive (their
-        #: work still lands on the worker's timeline) but their values are
-        #: applied once, in a canonical content order, when the main phase
-        #: ends — so the numeric result is independent of response arrival
-        #: order.  That is what lets retried/duplicated/delayed traffic
-        #: reproduce the fault-free run bit for bit despite float SUM being
-        #: non-associative.
+        #: vectorized path, as (provenance keys, values) batches.  Responses
+        #: are *priced* when they arrive (their work still lands on the
+        #: worker's timeline) but their values are applied once, in
+        #: provenance order, when the main phase ends — so the numeric
+        #: result is independent of response arrival order.  That is what
+        #: lets retried/duplicated/delayed traffic reproduce the fault-free
+        #: run bit for bit despite float SUM being non-associative.
         self._staged_remote: Optional[list[list]] = (
             [[] for _ in self.machines] if self.spec is not None else None)
-        #: remote WRITE_REQ and post-sync GHOST_SYNC payloads, staged by the
-        #: receiving copier and applied in canonical content order at the
-        #: next phase boundary (same trick as ``_staged_remote``).  This is
-        #: what keeps a job's float reductions bit-identical when another
+        #: remote WRITE_REQ payloads (offsets, values, keys, source) and
+        #: post-sync ghost partials (source, offsets, values), staged by the
+        #: receiving copier and applied in provenance order at the next
+        #: phase boundary (same trick as ``_staged_remote``).  This is what
+        #: keeps a job's float reductions bit-identical when another
         #: tenant's traffic perturbs message arrival order on the shared
-        #: fabric ports: the *content* of the contributions is timing-
-        #: independent, so sorting by (row, value) fixes the apply order.
+        #: fabric ports: provenance is timing-independent.
         #: Keyed (machine, prop, op-name) so distinct reductions never mix.
         self._staged_writes: dict[tuple[int, str, str], list] = {}
         self._staged_ghost: dict[tuple[int, str, str], list] = {}
@@ -231,13 +233,13 @@ class JobExecution:
             return pool.message(kind, src, dst, **kw)
         return Message(kind, src, dst, **kw)
 
-    def new_side(self, request_id: int, prop: str, rows=None, weights=None,
+    def new_side(self, request_id: int, prop: str, keys=None, weights=None,
                  tasks=None):
         pool = self.msg_pool
         if pool is not None:
-            return pool.side(request_id, prop, rows=rows, weights=weights,
+            return pool.side(request_id, prop, keys=keys, weights=weights,
                              tasks=tasks)
-        return SideStructure(request_id=request_id, prop=prop, rows=rows,
+        return SideStructure(request_id=request_id, prop=prop, keys=keys,
                              weights=weights,
                              tasks=tasks if tasks is not None else [])
 
@@ -416,91 +418,102 @@ class JobExecution:
                 and self.write_outstanding == 0 and self.rmi_outstanding == 0):
             self._phase_postsync()
 
-    def stage_remote(self, machine_index: int, rows: np.ndarray,
+    def stage_remote(self, machine_index: int, keys: np.ndarray,
                      vals: np.ndarray) -> None:
         """Record a remote read-response contribution for end-of-main apply."""
-        self._staged_remote[machine_index].append((rows, vals))
+        self._staged_remote[machine_index].append((keys, vals))
 
-    def stage_write(self, machine_index: int, prop: str, op: ReduceOp,
-                    offsets: np.ndarray, values: np.ndarray) -> None:
-        """Record a remote WRITE_REQ payload for end-of-main apply."""
+    def stage_write(self, machine_index: int, src: int, prop: str,
+                    op: ReduceOp, offsets: np.ndarray, values: np.ndarray,
+                    keys: np.ndarray) -> None:
+        """Record a remote WRITE_REQ payload (``keys``: the sender's CSR
+        edge indices) for end-of-main apply."""
         key = (machine_index, prop, op.name)
         self._staged_ops[op.name] = op
-        self._staged_writes.setdefault(key, []).append((offsets, values))
+        self._staged_writes.setdefault(key, []).append(
+            (offsets, values, keys, src))
 
-    def stage_ghost_reduce(self, machine_index: int, prop: str, op: ReduceOp,
-                           offsets: np.ndarray, values: np.ndarray) -> None:
+    def stage_ghost_reduce(self, machine_index: int, src: int, prop: str,
+                           op: ReduceOp, offsets: np.ndarray,
+                           values: np.ndarray) -> None:
         """Record a post-sync ghost partial for end-of-postsync apply."""
         key = (machine_index, prop, op.name)
         self._staged_ops[op.name] = op
-        self._staged_ghost.setdefault(key, []).append((offsets, values))
+        self._staged_ghost.setdefault(key, []).append((src, offsets, values))
 
-    def _apply_staged_group(self, staged: dict, stage: str) -> None:
-        """Apply a staged (machine, prop, op) group set in canonical order.
-
-        Group iteration is sorted by key and each group's contributions are
-        sorted by (offset, value), so the reduction order is a function of
-        the data alone — independent of delivery order, of which copier
-        processed which message, and of any co-running tenant's traffic.
-        The apply work was already priced on the copier timeline when each
-        message was processed.  ``stage`` names the staging family
-        ("write"/"ghost") for the per-machine sort-order cache key.
-        """
-        for key in sorted(staged):
-            machine_index, prop, op_name = key
-            batches = staged[key]
-            offs = np.concatenate([o for o, _ in batches])
-            vals = np.concatenate([v for _, v in batches])
-            op = self._staged_ops[op_name]
-            self._staged_apply(op, machine_index, prop, offs, vals,
-                               (stage, prop, op_name))
-        staged.clear()
-
-    def _staged_apply(self, op, machine_index: int, prop: str,
-                      rows: np.ndarray, vals: np.ndarray, key) -> None:
-        """Reduce one staged group into its property in canonical order.
-
-        The array-native path produces *identical* results through a cached
-        stable row sort, one complex-key stable sort and a singleton/multi
-        split apply (see :func:`repro.core.routing_plan.canonical_apply`),
-        so the staged reduction stays bit-for-bit the same as the plain
-        lexsort-then-``ufunc.at``.
-        """
-        target = self.machines[machine_index].props[prop]
-        if not self.content_sorted:
+    def _staged_apply(self, op, target: np.ndarray, keys: np.ndarray,
+                      vals: np.ndarray, rows: np.ndarray) -> None:
+        """Reduce one staged group in provenance order (see
+        :func:`repro.core.routing_plan.canonical_apply`), or in arrival
+        order for the negative control.  The apply work was already priced
+        on the worker/copier timeline when each message was processed."""
+        if self.content_sorted:
+            canonical_apply(op, target, keys, vals, rows)
+        else:
             op.apply_at(target, rows, vals)
-            return
-        if self.array_native:
-            canonical_apply(op, target, rows, vals,
-                            self.machines[machine_index].stage_cache, key)
-            return
-        order = np.lexsort((vals, rows))
-        op.apply_at(target, rows[order], vals[order])
 
     def _apply_staged_responses(self) -> None:
-        """Apply staged remote contributions in canonical content order.
-
-        Sorting by (row, value) makes the reduction order a function of the
-        *data*, not of message timing: a run whose responses were delayed,
-        reordered or retried produces the same floating-point result as the
-        fault-free run.  Purely host-side — the apply work was already
-        priced on the worker timeline when each response arrived.
-        """
+        """Apply staged read responses in provenance order (keys are the
+        requester's CSR edge indices).  A superstep that answered every
+        remote edge takes the machine's slot map; the map is only built for
+        groups of at least an eighth of the CSR, so its O(edges) build
+        stays proportional to the group."""
         if self._staged_remote is None:
             return
         spec = self.spec
+        ghost_ok = spec.source in self.ghost_read_set
         for m, batches in zip(self.machines, self._staged_remote):
             if not batches:
                 continue
-            rows = np.concatenate([r for r, _ in batches])
+            keys = np.concatenate([k for k, _ in batches])
             vals = np.concatenate([v for _, v in batches])
-            self._staged_apply(spec.op, m.index, spec.target, rows, vals,
-                               ("resp", spec.target))
             batches.clear()
+            target = m.props[spec.target]
+            csr = m.csr(spec.iter_kind)
+            if self.content_sorted and len(keys) * 8 >= csr.num_edges:
+                slots = m.stage_slots(spec.iter_kind, ghost_ok)
+                if len(keys) == len(slots.edges):
+                    canonical_apply(spec.op, target, keys, vals, slots=slots,
+                                    buf=m.scratch(slots.n_edges, vals.dtype,
+                                                  1))
+                    continue
+            self._staged_apply(spec.op, target, keys, vals,
+                               edge_rows(csr.starts, keys))
+
+    def _apply_staged_writes(self) -> None:
+        """Apply staged WRITE_REQ groups, in key order, each reduced in
+        provenance order — independent of delivery order, of which copier
+        processed which message, and of any co-running tenant's traffic."""
+        for key in sorted(self._staged_writes):
+            machine_index, prop, op_name = key
+            offs, vals, keys, srcs = zip(*self._staged_writes[key])
+            tags = np.repeat(np.array(srcs, dtype=np.int64) << PROVENANCE_SHIFT,
+                             [len(o) for o in offs])
+            keys = np.concatenate(keys).astype(np.int64) + tags
+            self._staged_apply(self._staged_ops[op_name],
+                               self.machines[machine_index].props[prop],
+                               keys, np.concatenate(vals),
+                               np.concatenate(offs))
+        self._staged_writes.clear()
+
+    def _apply_staged_ghost(self) -> None:
+        """Apply post-sync ghost partials per source machine, ascending.
+
+        One source's offsets are unique (one partial per ghosted vertex),
+        so each batch is a single exact vectorized combine."""
+        for key in sorted(self._staged_ghost):
+            machine_index, prop, op_name = key
+            op = self._staged_ops[op_name]
+            target = self.machines[machine_index].props[prop]
+            batches = self._staged_ghost[key]
+            for _src, offs, vals in (sorted(batches, key=lambda b: b[0])
+                                     if self.content_sorted else batches):
+                target[offs] = op.combine(target[offs], vals)
+        self._staged_ghost.clear()
 
     def _phase_postsync(self) -> None:
         self._apply_staged_responses()
-        self._apply_staged_group(self._staged_writes, "write")
+        self._apply_staged_writes()
         self._set_phase("postsync")
         if not self.ghost_write_props:
             self._phase_barrier()
@@ -552,7 +565,7 @@ class JobExecution:
             self.check_sync_done()
 
     def _phase_barrier(self) -> None:
-        self._apply_staged_group(self._staged_ghost, "ghost")
+        self._apply_staged_ghost()
         self._set_phase("barrier")
         self.hooks.emit("barrier.enter", job=self.job.name,
                         machines=self.num_machines, time=self.sim.now)

@@ -23,7 +23,7 @@ from ..runtime.cpu import MachineCpu
 from ..runtime.disk import DiskModel
 from .ghost import MachineGhosts
 from .properties import PropertyStore, SegmentGroupCache
-from .routing_plan import RoutingPlanCache, StageOrderCache
+from .routing_plan import RoutingPlanCache, StageSlots
 
 
 @dataclass
@@ -136,10 +136,10 @@ class Machine:
         #: load, so plans stay valid for the machine's lifetime)
         self.plan_cache = RoutingPlanCache(
             max_bytes=config.engine.plan_cache_max_bytes)
-        #: memoized canonical-staging row permutations (jobrunner's
-        #: content-sorted apply); exact-match verified per use, so it is
-        #: correct for any workload and fast for stationary ones
-        self.stage_cache = StageOrderCache()
+        #: lazily built staging slot maps, keyed (direction, ghost_ok)
+        self._stage_slots: dict[tuple[str, bool], StageSlots] = {}
+        #: persistent per-(dtype, tag) work buffers (see :meth:`scratch`)
+        self._scratch: dict = {}
         #: memoized write-combine group structure (worker flush trains are
         #: stationary across supersteps); content-verified per use
         self.combine_cache = SegmentGroupCache()
@@ -150,6 +150,29 @@ class Machine:
         if direction == "out":
             return self.out_csr
         raise ValueError(f"unknown direction {direction!r}")
+
+    def stage_slots(self, direction: str, ghost_ok: bool) -> StageSlots:
+        """The read-response slot map of one CSR direction (immutable CSRs
+        keep it valid for the machine's lifetime)."""
+        key = (direction, bool(ghost_ok))
+        slots = self._stage_slots.get(key)
+        if slots is None:
+            slots = self._stage_slots[key] = StageSlots(
+                self.csr(direction), ghost_ok, self.index)
+        return slots
+
+    def scratch(self, n: int, dtype, tag: int = 0) -> np.ndarray:
+        """A length-``n`` work view of a persistent per-(dtype, tag) buffer.
+
+        Hot per-chunk gathers and the staged apply's edge-space scatter
+        reuse these instead of allocating (and page-faulting) every call;
+        ``tag`` separates buffers of one dtype that are live together."""
+        dtype = np.dtype(dtype)
+        key = (dtype.str, tag)
+        buf = self._scratch.get(key)
+        if buf is None or len(buf) < n:
+            buf = self._scratch[key] = np.empty(max(n, 1024), dtype=dtype)
+        return buf[:n]
 
     def is_local(self, vertex: int) -> bool:
         return self.lo <= vertex < self.hi

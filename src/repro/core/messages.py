@@ -73,6 +73,9 @@ class Message:
     #: False = post-sync (ghost partials -> owner, reduced with ``op``)
     ghost_pre: bool = False
     payload_bytes_override: Optional[float] = None
+    #: host-side provenance keys of a WRITE_REQ's elements (the staged
+    #: apply's reduction order); not part of the modeled wire bytes
+    keys: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.request_id < 0:
@@ -106,14 +109,16 @@ class Message:
 class SideStructure:
     """What a worker remembers about an in-flight read-request message.
 
-    Vectorized path: ``rows`` are the local target rows awaiting the fetched
-    values, ``weights`` optional per-request edge data for the transform.
+    Vectorized path: ``keys`` are the provenance keys (local CSR edge
+    indices) of the requests — they name each fetched value's target row and
+    its place in the staged reduction order; ``weights`` optional
+    per-request edge data for the transform.
     Scalar path: ``tasks`` holds (task object, context args) in request order.
     """
 
     request_id: int
     prop: str
-    rows: Optional[np.ndarray] = None
+    keys: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
     tasks: list = field(default_factory=list)
 
@@ -145,12 +150,13 @@ class MessagePool:
                 offsets: Optional[np.ndarray] = None,
                 values: Optional[np.ndarray] = None,
                 op: Optional[ReduceOp] = None, request_id: int = -1,
-                worker: int = -1, ghost_pre: bool = False) -> Message:
+                worker: int = -1, ghost_pre: bool = False,
+                keys: Optional[np.ndarray] = None) -> Message:
         pool = self._messages
         if not pool:
             return Message(kind, src, dst, prop=prop, offsets=offsets,
                            values=values, op=op, request_id=request_id,
-                           worker=worker, ghost_pre=ghost_pre)
+                           worker=worker, ghost_pre=ghost_pre, keys=keys)
         m = pool.pop()
         m.kind = kind
         m.src = src
@@ -162,6 +168,7 @@ class MessagePool:
         m.request_id = request_id if request_id >= 0 else next(_msg_ids)
         m.worker = worker
         m.ghost_pre = ghost_pre
+        m.keys = keys
         self.message_hits += 1
         return m
 
@@ -174,6 +181,7 @@ class MessagePool:
         msg.prop = None
         msg.offsets = None
         msg.values = None
+        msg.keys = None
         msg.op = None
         msg.rmi_fn = -1
         msg.rmi_args = ()
@@ -183,18 +191,18 @@ class MessagePool:
         self._messages.append(msg)
 
     def side(self, request_id: int, prop: str,
-             rows: Optional[np.ndarray] = None,
+             keys: Optional[np.ndarray] = None,
              weights: Optional[np.ndarray] = None,
              tasks: Optional[list] = None) -> SideStructure:
         pool = self._sides
         if not pool:
-            return SideStructure(request_id=request_id, prop=prop, rows=rows,
+            return SideStructure(request_id=request_id, prop=prop, keys=keys,
                                  weights=weights,
                                  tasks=tasks if tasks is not None else [])
         s = pool.pop()
         s.request_id = request_id
         s.prop = prop
-        s.rows = rows
+        s.keys = keys
         s.weights = weights
         s.tasks = tasks if tasks is not None else []
         self.side_hits += 1
@@ -203,24 +211,27 @@ class MessagePool:
     def release_side(self, side: SideStructure) -> None:
         if len(self._sides) >= self.cap:
             return
-        side.rows = None
+        side.keys = None
         side.weights = None
         side.tasks = []
         self._sides.append(side)
 
 
 class ReadBuffer:
-    """Per-worker, per-destination accumulator of read requests (vectorized)."""
+    """Per-worker, per-destination accumulator of read requests (vectorized).
 
-    __slots__ = ("offsets", "rows", "weights", "nbytes")
+    ``keys`` carry each request's provenance key host-side (the requester's
+    local CSR edge index); only the offsets go on the wire."""
+
+    __slots__ = ("offsets", "keys", "weights", "nbytes")
 
     def __init__(self) -> None:
         self.offsets: list[np.ndarray] = []
-        self.rows: list[np.ndarray] = []
+        self.keys: list[np.ndarray] = []
         self.weights: list[np.ndarray] = []
         self.nbytes: float = 0.0
 
-    def append(self, offsets: np.ndarray, rows: np.ndarray,
+    def append(self, offsets: np.ndarray, keys: np.ndarray,
                weights: Optional[np.ndarray] = None) -> None:
         # Weights are all-or-nothing per buffer: a mix would make drain()
         # concatenate a weights array shorter than offsets, silently
@@ -230,7 +241,7 @@ class ReadBuffer:
                 "mixed weighted and unweighted appends to one ReadBuffer; "
                 "weights must be provided for every batch or for none")
         self.offsets.append(offsets)
-        self.rows.append(rows)
+        self.keys.append(keys)
         if weights is not None:
             self.weights.append(weights)
         self.nbytes += len(offsets) * READ_REQ_ITEM_BYTES
@@ -241,50 +252,63 @@ class ReadBuffer:
 
     def drain(self) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         offsets = np.concatenate(self.offsets)
-        rows = np.concatenate(self.rows)
+        keys = np.concatenate(self.keys)
         weights = np.concatenate(self.weights) if self.weights else None
         self.offsets.clear()
-        self.rows.clear()
+        self.keys.clear()
         self.weights.clear()
         self.nbytes = 0.0
-        return offsets, rows, weights
+        return offsets, keys, weights
 
 
 class WriteBuffer:
-    """Per-worker, per-destination accumulator of write (reduction) requests."""
+    """Per-worker, per-destination accumulator of write (reduction) requests.
 
-    __slots__ = ("offsets", "values", "nbytes")
+    Each batch's ``addr`` is a 2 x k array: row 0 the target offsets, row 1
+    the host-side provenance keys (the sender's CSR edge indices), so both
+    drain with one concatenation."""
+
+    __slots__ = ("addrs", "values", "nbytes")
 
     def __init__(self) -> None:
-        self.offsets: list[np.ndarray] = []
+        self.addrs: list[np.ndarray] = []
         self.values: list[np.ndarray] = []
         self.nbytes: float = 0.0
 
-    def append(self, offsets: np.ndarray, values: np.ndarray) -> None:
-        self.offsets.append(offsets)
+    def append(self, addr: np.ndarray, values: np.ndarray) -> None:
+        self.addrs.append(addr)
         self.values.append(values)
-        self.nbytes += len(offsets) * WRITE_REQ_ITEM_BYTES
+        self.nbytes += len(values) * WRITE_REQ_ITEM_BYTES
+
+    @property
+    def offsets(self) -> list[np.ndarray]:
+        """The buffered batches' target offsets."""
+        return [a[0] for a in self.addrs]
 
     @property
     def empty(self) -> bool:
-        return not self.offsets
+        return not self.addrs
 
     def drain(self, combine: Optional[ReduceOp] = None, cache=None,
-              key=None) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenate the buffered batches; with ``combine`` set, collapse
-        duplicate offsets through :meth:`ReduceOp.segment_reduce` first so
-        each target travels (and is atomically applied) once per flush.
-        ``cache``/``key`` memoize the combine's group structure for
-        recurring trains (see :class:`~.properties.SegmentGroupCache`)."""
-        offsets = np.concatenate(self.offsets)
+              key=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Concatenate the buffered batches into ``(offsets, values, keys)``;
+        with ``combine`` set, collapse duplicate offsets through
+        :meth:`ReduceOp.segment_reduce` first so each target travels (and
+        is atomically applied) once per flush, keyed by the smallest
+        provenance key of its group.  ``cache``/``key`` memoize the
+        combine's group structure for recurring trains (see
+        :class:`~.properties.SegmentGroupCache`)."""
+        offsets, keys = np.concatenate(self.addrs, axis=1)
         values = np.concatenate(self.values)
-        self.offsets.clear()
+        self.addrs.clear()
         self.values.clear()
         self.nbytes = 0.0
         if combine is not None and len(offsets):
+            _, keys = ReduceOp.MIN.segment_reduce(offsets, keys, cache=cache,
+                                                  key=key)
             offsets, values = combine.segment_reduce(offsets, values,
                                                      cache=cache, key=key)
-        return offsets, values
+        return offsets, values, keys
 
 
 @dataclass

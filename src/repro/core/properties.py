@@ -64,30 +64,6 @@ class ReduceOp(enum.Enum):
         else:  # pragma: no cover
             raise AssertionError(self)
 
-    def apply_unique(self, target: np.ndarray, idx: np.ndarray, values) -> None:
-        """Reduce ``values`` into ``target[idx]`` for *duplicate-free* ``idx``.
-
-        One vectorized gather/op/scatter instead of ``ufunc.at``'s sequential
-        per-element loop.  Bit-identical to :meth:`apply_at` when every index
-        is unique — each target element receives exactly one contribution, so
-        buffering cannot lose updates and the rounding is the same single
-        ``op(target[i], v)``.  Callers must guarantee uniqueness.
-        """
-        if self is ReduceOp.SUM:
-            target[idx] += values
-        elif self is ReduceOp.MIN:
-            target[idx] = np.minimum(target[idx], values)
-        elif self is ReduceOp.MAX:
-            target[idx] = np.maximum(target[idx], values)
-        elif self is ReduceOp.AND:
-            target[idx] = np.logical_and(target[idx], values)
-        elif self is ReduceOp.OR:
-            target[idx] = np.logical_or(target[idx], values)
-        elif self is ReduceOp.OVERWRITE:
-            target[idx] = values
-        else:  # pragma: no cover
-            raise AssertionError(self)
-
     def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise combine of two partial-result arrays (ghost sync)."""
         if self is ReduceOp.SUM:

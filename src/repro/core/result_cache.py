@@ -243,6 +243,9 @@ class ReadExecution:
 
     def _finalize(self) -> None:
         self.phase = "done"
+        # The read is answered: drop its compute thunk, which pins the
+        # queried epoch's graph for as long as the job object lives.
+        self.job.compute = None
         self.stats.end_time = self.sim.now
         self.hooks.emit("job.end", job=self.job.name,
                         start=self.stats.start_time,

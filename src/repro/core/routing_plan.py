@@ -25,6 +25,8 @@ from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 
+from .properties import ReduceOp
+
 if TYPE_CHECKING:  # pragma: no cover
     from .machine import LocalCsr
 
@@ -42,7 +44,8 @@ class ChunkPlan:
         "is_local", "is_ghost", "is_remote", "n_local", "n_ghost", "n_remote",
         "local_idx", "local_rows", "local_offsets",
         "ghost_idx", "ghost_rows", "ghost_slots",
-        "remote_idx", "remote_offsets", "remote_rows", "bounds", "dest_runs",
+        "remote_idx", "remote_addr", "remote_offsets", "remote_keys", "bounds",
+        "dest_runs",
         "_weight_cache", "nbytes",
     )
 
@@ -53,7 +56,10 @@ class ChunkPlan:
         self.es, self.ee = int(starts[lo]), int(starts[hi])
         self.n_nodes = hi - lo
         self.degrees = np.diff(starts[lo:hi + 1])
-        rows = np.repeat(np.arange(lo, hi, dtype=np.int64), self.degrees)
+        # Index arrays are int32 whenever the CSR allows: plans are the
+        # engine's largest long-lived host structure.
+        idx = np.int32 if csr.num_edges < 2 ** 31 else np.int64
+        rows = np.repeat(np.arange(lo, hi, dtype=idx), self.degrees)
         self.rows = rows
         self.n_edges = len(rows)
 
@@ -69,17 +75,17 @@ class ChunkPlan:
         is_remote = ~(is_local | is_ghost)
         self.is_local, self.is_ghost, self.is_remote = is_local, is_ghost, is_remote
 
-        self.local_idx = np.nonzero(is_local)[0]
-        self.ghost_idx = np.nonzero(is_ghost)[0]
-        rem = np.nonzero(is_remote)[0]
+        self.local_idx = np.flatnonzero(is_local).astype(idx)
+        self.ghost_idx = np.flatnonzero(is_ghost).astype(idx)
+        rem = np.flatnonzero(is_remote).astype(idx)
         self.n_local = len(self.local_idx)
         self.n_ghost = len(self.ghost_idx)
         self.n_remote = len(rem)
 
         self.local_rows = rows[self.local_idx]
-        self.local_offsets = offsets[self.local_idx]
+        self.local_offsets = offsets[self.local_idx].astype(idx)
         self.ghost_rows = rows[self.ghost_idx]
-        self.ghost_slots = gslots[self.ghost_idx]
+        self.ghost_slots = gslots[self.ghost_idx].astype(idx)
 
         # Stable owner sort: identical permutation to sorting the remote
         # subset directly, so buffered request order (and therefore every
@@ -87,21 +93,25 @@ class ChunkPlan:
         order = np.argsort(owners[rem], kind="stable")
         self.remote_idx = rem[order]
         remote_owners = owners[self.remote_idx]
-        self.remote_offsets = offsets[self.remote_idx]
-        self.remote_rows = rows[self.remote_idx]
+        #: (target offset, provenance key) rows of the remote edges; the
+        #: key is the local CSR edge index.  One array, so a buffered write
+        #: carries both with a single concatenation.
+        self.remote_addr = np.empty((2, self.n_remote), dtype=idx)
+        self.remote_offsets, self.remote_keys = self.remote_addr
+        np.take(offsets, self.remote_idx, out=self.remote_offsets)
+        np.add(self.remote_idx, self.es, out=self.remote_keys)
         self.bounds = np.searchsorted(remote_owners,
                                       np.arange(num_machines + 1))
         # NXgraph-style destination-sorted sub-chunks: one pre-sliced
-        # (dst, b0, b1, offsets, rows) run per *non-empty* destination, so a
-        # cached chunk execution appends exactly one fused batch per
-        # destination without scanning all machines or re-slicing the
-        # invariant arrays.  The views alias remote_offsets/remote_rows.
+        # (dst, b0, b1, addr) run per *non-empty* destination, so a cached
+        # chunk execution appends exactly one fused batch per destination
+        # without scanning all machines or re-slicing the invariant arrays.
+        # The views alias remote_addr.
         runs = []
         for dst in range(num_machines):
             b0, b1 = int(self.bounds[dst]), int(self.bounds[dst + 1])
             if b1 > b0:
-                runs.append((dst, b0, b1, self.remote_offsets[b0:b1],
-                             self.remote_rows[b0:b1]))
+                runs.append((dst, b0, b1, self.remote_addr[:, b0:b1]))
         self.dest_runs = tuple(runs)
 
         self._weight_cache: dict = {}
@@ -110,7 +120,7 @@ class ChunkPlan:
                 "degrees", "rows", "is_local", "is_ghost", "is_remote",
                 "local_idx", "local_rows", "local_offsets",
                 "ghost_idx", "ghost_rows", "ghost_slots",
-                "remote_idx", "remote_offsets", "remote_rows", "bounds"))
+                "remote_idx", "remote_addr", "bounds"))
 
     def weight_split(self, key, edge_data: np.ndarray):
         """Per-class subsets ``(local, ghost, remote-sorted)`` of one edge
@@ -199,246 +209,106 @@ class RoutingPlanCache:
 
 
 # ---------------------------------------------------------------------------
-# Canonical staging order (the content-sorted apply of jobrunner), fast.
+# Provenance-ordered staged apply (the determinism invariant of jobrunner).
 # ---------------------------------------------------------------------------
 
+#: Bit position of the source machine in a WRITE_REQ's provenance key as
+#: the staged apply sees it: ``(source machine << PROVENANCE_SHIFT) +
+#: source-side CSR edge index``, so keys order by (source machine,
+#: source-side edge rank).  On the wire a write carries only the edge
+#: index; the receiver adds the message's source.
+PROVENANCE_SHIFT = 40
 
-class StageOrderCache:
-    """Per-machine memo of row permutations for the canonical staged apply.
 
-    The staged-apply hot spot sorts (rows, values) lexicographically once
-    per machine per superstep.  The *row* stream of a staging group is
-    iteration-invariant for stationary algorithms (same chunks issue the
-    same remote reads every superstep), so its stable row permutation ``P``
-    and the pre-sorted rows ``rows[P]`` can be reused — verified by an exact
-    ``np.array_equal`` comparison, so a changed row stream (vertex
-    deactivation, different active set) transparently recomputes.  Keyed by
-    staging-group identity; bounded by wholesale reset, which only ever
-    costs one recompute per entry.
+class StageSlots:
+    """Slot map of one machine's remote edges for one (CSR direction, ghost
+    visibility): where every read response of a full superstep lands.
+
+    A read response is keyed by the requester's CSR edge index, and CSR
+    edges are row-major, so key order *is* (row, provenance) order.  When a
+    superstep answers every remote edge (an unfiltered edge map), the
+    contributions scatter by key into edge space, one gather over
+    ``edges`` compacts them into slot order, and the row segments are the
+    cached ``seg_id``/``seg_rows`` — no sort.  Built lazily, in O(edges).
     """
 
-    __slots__ = ("_entries", "max_entries", "hits", "misses", "_scratch",
-                 "_splits")
+    __slots__ = ("n_edges", "edges", "seg_id", "seg_rows")
 
-    def __init__(self, max_entries: int = 32):
-        self._entries: dict = {}
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        #: reusable per-dtype work buffers for the pack-and-sort step —
-        #: staged groups are large (≈ remote edges per superstep), so
-        #: re-allocating them every apply costs real page-fault time
-        self._scratch: dict = {}
-        #: memoized singleton/multi splits of cached sorted row streams
-        self._splits: dict = {}
-
-    def scratch(self, n: int, dtype, tag: int = 0) -> np.ndarray:
-        """A length-``n`` work view of a persistent per-(dtype, tag) buffer.
-
-        ``tag`` distinguishes buffers of the same dtype that must be live
-        simultaneously (e.g. the permuted values and the sorted values)."""
-        dtype = np.dtype(dtype)
-        key = (dtype.str, tag)
-        buf = self._scratch.get(key)
-        if buf is None or len(buf) < n:
-            buf = np.empty(max(n, 1024), dtype=dtype)
-            self._scratch[key] = buf
-        return buf[:n]
-
-    def lookup(self, key, rows: np.ndarray):
-        """``(P, rows[P])`` for this group's row stream, memoized."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            cached_rows, perm, sorted_rows = entry
-            if cached_rows is rows or (len(cached_rows) == len(rows)
-                                       and np.array_equal(cached_rows, rows)):
-                self.hits += 1
-                return perm, sorted_rows
-        perm = np.argsort(rows, kind="stable")
-        sorted_rows = rows[perm]
-        if len(self._entries) >= self.max_entries:
-            self._entries.clear()
-        self._entries[key] = (rows, perm, sorted_rows)
-        self.misses += 1
-        return perm, sorted_rows
-
-    def group_split(self, key, sorted_rows: np.ndarray):
-        """Singleton/multi split of a *sorted* row stream, or ``None``.
-
-        Returns ``(ps, pm, rows[ps], rows[pm])`` — positions of rows with
-        exactly one contribution vs. the rest — when singletons make up at
-        least a quarter of the stream (below that the extra gathers cost
-        more than the ``ufunc.at`` elements they save), else ``None``
-        meaning "apply the whole stream sequentially".  Validated by object
-        identity with the row array: the caller passes the cached
-        ``sorted_rows`` from :meth:`lookup`, so a refreshed cache entry
-        transparently recomputes the split."""
-        ent = self._splits.get(key)
-        if ent is not None and ent[0] is sorted_rows:
-            return ent[1]
-        n = len(sorted_rows)
-        eq_next = sorted_rows[1:] == sorted_rows[:-1]
-        multi = np.zeros(n, dtype=bool)
-        multi[1:] = eq_next
-        multi[:-1] |= eq_next
-        ps = np.nonzero(~multi)[0]
-        if len(ps) * 4 < n:
-            out = None
-        else:
-            pm = np.nonzero(multi)[0]
-            out = (ps, pm, sorted_rows[ps], sorted_rows[pm])
-        if len(self._splits) >= self.max_entries:
-            self._splits.clear()
-        self._splits[key] = (sorted_rows, out)
-        return out
+    def __init__(self, csr: "LocalCsr", ghost_ok: bool, machine_index: int):
+        remote = csr.nbr_owner != machine_index
+        if ghost_ok:
+            remote &= csr.nbr_ghost_slot < 0
+        self.n_edges = csr.num_edges
+        self.edges = np.flatnonzero(remote)
+        self.seg_id, self.seg_rows = _segments(
+            edge_rows(csr.starts, self.edges))
 
 
-def canonical_order(rows: np.ndarray, vals: np.ndarray,
-                    cache: "StageOrderCache | None" = None,
-                    key=None) -> np.ndarray:
-    """The permutation ``np.lexsort((vals, rows))``, computed array-natively.
+def edge_rows(starts: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The CSR row of each (local) edge index."""
+    return np.searchsorted(starts, edges, side="right") - 1
 
-    Exactness is the contract: the returned permutation is *identical* to
-    the lexsort one, so the canonical staged apply stays bit-for-bit the
-    same.  The fast path packs each pair into one complex128 key
-    (``rows + 1j*vals``) and stable-sorts once — numpy orders complex values
-    lexicographically by (real, imag), and with the rows pre-sorted through
-    the cached permutation the real parts are already nondecreasing, which
-    timsort exploits.  The packing is exact only when both halves embed into
-    float64 losslessly, so anything else falls back to lexsort:
 
-    - ``vals`` must be a non-NaN float (≤64-bit) or ≤32-bit int/bool column
-      (NaN complex comparisons and >2**53 integers would reorder);
-    - ``rows`` must lie in ``[0, 2**52)`` — always true for local offsets,
-      guarded anyway.
+def canonical_apply(op, target: np.ndarray, keys: np.ndarray,
+                    vals: np.ndarray, rows: Optional[np.ndarray] = None,
+                    slots: Optional[StageSlots] = None,
+                    buf: Optional[np.ndarray] = None) -> None:
+    """Reduce staged contributions into ``target`` in provenance order.
+
+    ``keys`` are the contributions' provenance keys, ``rows`` their target
+    rows.  ``rows=None`` means a full superstep of read responses: ``slots``
+    covers every key and ``buf`` is an edge-space scratch buffer of
+    ``slots.n_edges`` elements.  The reduction rule per target row, with
+    c1..ck its contributions in ascending key order:
+
+    - SUM: ``target += ((0 + c1) + c2) + ... + ck`` — reduce, then add once;
+    - MIN/MAX/AND/OR: ``target = op(...op(op(target, c1), c2)..., ck)``;
+    - OVERWRITE: the highest-provenance contribution ``ck`` wins.
+
+    Groups whose result cannot depend on the order — integer/bool values,
+    AND/OR, and MIN/MAX without NaN or -0.0 — apply directly, unordered.
     """
-    n = len(rows)
-    if n <= 1:
-        return np.arange(n, dtype=np.intp)
-    parts = _stage_sort_parts(rows, vals, cache, key)
-    if parts is None:
-        return np.lexsort((vals, rows))
-    perm, _sorted_rows, _vp, order = parts
-    return perm[order]
-
-
-def canonical_sorted(rows: np.ndarray, vals: np.ndarray,
-                     cache: "StageOrderCache | None" = None,
-                     key=None) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows[o], vals[o])`` for ``o = np.lexsort((vals, rows))``, fused.
-
-    The staged apply only needs the *sorted pair*, not the permutation —
-    and both halves already exist inside the fast path: the row half of the
-    result is exactly the cached ``rows[P]`` (within a row group every
-    element is equal, so reordering within groups is invisible), and the
-    value half is one gather of the already-permuted values.  Skipping the
-    two caller-side ``x[order]`` gathers is worth ~25% of the apply.
-    Returns bit-identical arrays to the lexsort-and-gather path; callers
-    must treat the row half as read-only (it aliases the cache).
-    """
-    n = len(rows)
-    if n <= 1:
-        return rows, vals
-    parts = _stage_sort_parts(rows, vals, cache, key)
-    if parts is None:
-        order = np.lexsort((vals, rows))
-        return rows[order], vals[order]
-    _perm, sorted_rows, vp, order = parts
-    return sorted_rows, vp[order]
-
-
-def canonical_apply(op, target: np.ndarray, rows: np.ndarray,
-                    vals: np.ndarray, cache: "StageOrderCache | None" = None,
-                    key=None) -> None:
-    """Reduce ``(rows, vals)`` into ``target`` in canonical lexsort order.
-
-    Bit-identical to ``op.apply_at(target, *canonical_sorted(...))`` but
-    splits the sorted stream by multiplicity: rows with exactly one
-    contribution (the majority in power-law graphs) are applied in one
-    vectorized gather/op/scatter (:meth:`ReduceOp.apply_unique` — exact, no
-    duplicate indices to lose), and only the multi-contribution remainder
-    pays the sequential ``ufunc.at`` loop.  The two halves touch disjoint
-    target rows, and relative order within the multi half is preserved, so
-    every element's per-row reduction sequence is unchanged.
-    """
-    n = len(rows)
-    if n <= 1:
+    if rows is None:
+        buf[keys] = vals
+        vals = buf[slots.edges]
+        seg_id, seg_rows = slots.seg_id, slots.seg_rows
+    elif _order_free(op, vals):
         op.apply_at(target, rows, vals)
         return
-    parts = _stage_pack(rows, vals, cache, key)
-    if parts is None:
-        order = np.lexsort((vals, rows))
-        op.apply_at(target, rows[order], vals[order])
-        return
-    _perm, sorted_rows, _vp, packed = parts
-    # The apply needs the sorted *pairs*, never the permutation: sort the
-    # packed keys in place (`packed` is scratch) and read the value half
-    # straight out of the imaginary component.  This skips both the index
-    # argsort and the value gather — ~25% of the staged apply — and the
-    # strided .imag view costs ``ufunc.at`` nothing.  Non-float64 values
-    # round-trip through the float64 imaginary part exactly (the pack
-    # guards admit only ≤32-bit ints/bools and ≤64-bit floats), but must
-    # be cast back so the reduction arithmetic stays in the value dtype.
-    packed.sort(kind="stable")
-    sorted_vals = packed.imag
-    if sorted_vals.dtype != vals.dtype:
-        sorted_vals = sorted_vals.astype(vals.dtype)
-    if cache is None or key is None:
-        op.apply_at(target, sorted_rows, sorted_vals)
-        return
-    split = cache.group_split(key, sorted_rows)
-    if split is None:
-        op.apply_at(target, sorted_rows, sorted_vals)
-        return
-    ps, pm, rows_s, rows_m = split
-    if len(pm) == 0:
-        op.apply_unique(target, rows_s, sorted_vals)
     else:
-        op.apply_unique(target, rows_s, sorted_vals[ps])
-        op.apply_at(target, rows_m, sorted_vals[pm])
-
-
-def _stage_pack(rows: np.ndarray, vals: np.ndarray,
-                cache: "StageOrderCache | None", key):
-    """Shared fast-path machinery: ``(P, rows[P], vals[P], packed)`` where
-    ``packed = rows[P] + 1j*vals[P]`` awaits its stable sort, or None when
-    the complex packing would not be exact (caller falls back to lexsort)."""
-    kind = vals.dtype.kind
-    if kind == "f":
-        # One reduction pass instead of isnan()+any(): min() propagates NaN,
-        # so a NaN anywhere surfaces as a NaN minimum (no temp bool array).
-        if vals.dtype.itemsize > 8 or np.min(vals) != np.min(vals):
-            return None
-    elif not (kind in "biu" and vals.dtype.itemsize <= 4):
-        return None
-    if cache is not None and key is not None:
-        perm, sorted_rows = cache.lookup(key, rows)
+        order = np.lexsort((keys, rows))
+        seg_id, seg_rows = _segments(rows[order])
+        vals = vals[order]
+    if op is ReduceOp.SUM:
+        acc = np.zeros(len(seg_rows), dtype=vals.dtype)
+        np.add.at(acc, seg_id, vals)
+        target[seg_rows] += acc
     else:
-        perm = np.argsort(rows, kind="stable")
-        sorted_rows = rows[perm]
-    if sorted_rows[0] < 0 or sorted_rows[-1] >= 2 ** 52:
-        return None
-    n = len(rows)
-    if cache is not None:
-        packed = cache.scratch(n, np.complex128)
-        vp = np.take(vals, perm, mode="clip",
-                     out=cache.scratch(n, vals.dtype))
-    else:
-        packed = np.empty(n, dtype=np.complex128)
-        vp = vals[perm]
-    # Assemble the key by component: a `rows + 1j*vals` product would turn
-    # ±inf values into NaN real parts (0*inf) and break the ordering.
-    packed.real = sorted_rows
-    packed.imag = vp
-    return perm, sorted_rows, vp, packed
+        op.apply_at(target, seg_rows[seg_id], vals)
 
 
-def _stage_sort_parts(rows: np.ndarray, vals: np.ndarray,
-                      cache: "StageOrderCache | None", key):
-    """``(P, rows[P], vals[P], order)`` with ``order`` the stable sort of
-    the P-permuted pairs, or None (caller falls back to lexsort)."""
-    parts = _stage_pack(rows, vals, cache, key)
-    if parts is None:
-        return None
-    perm, sorted_rows, vp, packed = parts
-    return perm, sorted_rows, vp, np.argsort(packed, kind="stable")
+def _order_free(op, vals: np.ndarray) -> bool:
+    """Whether reducing ``vals`` in any order gives the same bits."""
+    if op is ReduceOp.OVERWRITE:
+        return False
+    if op in (ReduceOp.AND, ReduceOp.OR) or vals.dtype.kind != "f":
+        return True
+    if op is ReduceOp.SUM:
+        return False
+    if not len(vals):
+        return True
+    lo, hi = vals.min(), vals.max()
+    if lo != lo:  # NaN: min() propagates it
+        return False
+    # Equal-comparing values with different bits are the only other
+    # hazard: -0.0 vs +0.0 ties.
+    return lo > 0 or hi < 0 or not np.signbit(vals[vals == 0]).any()
+
+
+def _segments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(segment id per element, row per segment)`` of a row-sorted
+    stream."""
+    new = np.empty(len(rows), dtype=bool)
+    new[:1] = True
+    np.not_equal(rows[1:], rows[:-1], out=new[1:])
+    return np.cumsum(new) - 1, rows[new]

@@ -24,9 +24,9 @@ The load-bearing invariant (enforced by ``tests/core/test_scheduler.py``):
 a job's numeric results are **bit-identical** whether it ran alone or
 interleaved with other tenants, and a fixed seed yields a bit-identical
 dispatch schedule.  Cross-tenant contention on the shared fabric ports can
-reorder message arrivals, but never their content — and the engine applies
-all remote reduction payloads in canonical content order at phase
-boundaries (see ``JobExecution._apply_staged_group``), so arrival order is
+reorder message arrivals, but never their provenance — and the engine
+applies all remote reduction payloads in provenance order at phase
+boundaries (see ``JobExecution._staged_apply``), so arrival order is
 immaterial to the numbers.
 """
 
@@ -461,6 +461,10 @@ class JobScheduler:
                       time=cl.sim.now)
         if self.on_complete is not None:
             self.on_complete(ticket)
+        # A finished ticket keeps its identity, times and stats but lets go
+        # of the graph and the execution: the ticket log would otherwise
+        # keep every superseded epoch's DistributedGraph alive.
+        ticket.dgraph = ticket.execution = ticket.scope = None
         self._dispatch_ready()
 
     # -- execution loops ---------------------------------------------------
@@ -531,7 +535,7 @@ class JobScheduler:
                             f"inline job {job.name!r} blocked on graph/"
                             "session capacity that never frees")
                     self._start(ticket)
-                    if not cl.sim.step_while(lambda: not ticket.execution.done):
+                    if not cl.sim.step_while(lambda: ticket.state != DONE):
                         raise EngineStallError(
                             job.name, ticket.execution.stall_diagnostics())
                 except MachineCrashError:

@@ -143,7 +143,7 @@ class WorkerState:
         return max(1, int(self.exc.buffer_size // item_bytes))
 
     def _flush_read(self, dst: int, prop: str, buf: ReadBuffer) -> None:
-        offsets, rows, weights = buf.drain()
+        offsets, keys, weights = buf.drain()
         exc = self.exc
         if exc.emit_flush:
             exc.hooks.emit("comm.flush", machine=self.machine.index,
@@ -158,7 +158,7 @@ class WorkerState:
             msg = exc.new_message(MsgKind.READ_REQ, self.machine.index, dst,
                                   prop=prop, offsets=offsets[i:i + step],
                                   worker=self.windex, request_id=rid)
-            side = exc.new_side(rid, prop, rows=rows[i:i + step],
+            side = exc.new_side(rid, prop, keys=keys[i:i + step],
                                 weights=None if weights is None
                                 else weights[i:i + step])
             self._dispatch_read(msg, side)
@@ -203,22 +203,28 @@ class WorkerState:
         if exc.combine_writes:
             items_in = int(sum(len(o) for o in buf.offsets))
             cache = self.machine.combine_cache if exc.array_native else None
-            offsets, values = buf.drain(combine=op, cache=cache,
-                                        key=(self.windex, dst, prop))
+            offsets, values, keys = buf.drain(combine=op, cache=cache,
+                                              key=(self.windex, dst, prop))
             self._account_combine(dst, prop, items_in, len(offsets))
         else:
-            offsets, values = buf.drain()
+            offsets, values, keys = buf.drain()
         if exc.emit_flush:
             exc.hooks.emit("comm.flush", machine=self.machine.index,
                            worker=self.windex, dst=dst, prop=prop,
                            kind="write_req", items=len(offsets),
                            time=exc.sim.now)
+        self._send_writes(dst, prop, op, offsets, values, keys)
+
+    def _send_writes(self, dst: int, prop: str, op: ReduceOp,
+                     offsets: np.ndarray, values: np.ndarray,
+                     keys: np.ndarray) -> None:
+        exc = self.exc
         step = self._max_items(16)
         for i in range(0, len(offsets), step):
             msg = exc.new_message(MsgKind.WRITE_REQ, self.machine.index, dst,
                                   prop=prop, offsets=offsets[i:i + step],
                                   values=values[i:i + step], op=op,
-                                  worker=self.windex,
+                                  worker=self.windex, keys=keys[i:i + step],
                                   request_id=exc.next_request_id())
             exc.write_outstanding += 1
             exc.send_request(msg, kind="write_req")
@@ -239,10 +245,13 @@ class WorkerState:
         exc = self.exc
         offsets = np.asarray(buf.offsets, dtype=np.int64)
         values = np.asarray(buf.values)
+        keys = np.asarray(buf.keys, dtype=np.int64)
         buf.offsets.clear()
         buf.values.clear()
+        buf.keys.clear()
         if exc.combine_writes and len(offsets):
             items_in = len(offsets)
+            _, keys = ReduceOp.MIN.segment_reduce(offsets, keys)
             offsets, values = op.segment_reduce(offsets, values)
             self._account_combine(dst, prop, items_in, len(offsets))
         if exc.emit_flush:
@@ -250,15 +259,7 @@ class WorkerState:
                            worker=self.windex, dst=dst, prop=prop,
                            kind="write_req", items=len(offsets),
                            time=exc.sim.now)
-        step = self._max_items(16)
-        for i in range(0, len(offsets), step):
-            msg = exc.new_message(MsgKind.WRITE_REQ, self.machine.index, dst,
-                                  prop=prop, offsets=offsets[i:i + step],
-                                  values=values[i:i + step], op=op,
-                                  worker=self.windex,
-                                  request_id=exc.next_request_id())
-            exc.write_outstanding += 1
-            exc.send_request(msg, kind="write_req")
+        self._send_writes(dst, prop, op, offsets, values, keys)
 
     # -- response intake --------------------------------------------------------
 
@@ -338,8 +339,8 @@ class MachineWindowStream:
 
     Results are bit-identical to the in-memory mode: the same chunks run
     with the same routing, and all remote/staged contributions are applied
-    in canonical content order at phase boundaries, so *when* a chunk ran
-    cannot change what it computed.
+    in provenance order at phase boundaries, so *when* a chunk ran cannot
+    change what it computed.
     """
 
     __slots__ = ("exc", "machine", "windows", "next_load", "inflight",
@@ -566,15 +567,15 @@ def _process_response(exc: "JobExecution", ws: WorkerState,
     n = len(values)
     tally = WorkTally(cpu_ops=n * 2.0, seq_bytes=n * VALUE_BYTES)
     tally.add_bytes(n * 2 * VALUE_BYTES, RESPONSE_APPLY_LOCALITY)
-    if side.rows is not None:
+    if side.keys is not None:
         # Vectorized continuation: transform now, but *stage* the reduction
-        # — the job runner applies all remote contributions in canonical
-        # content order at end of main phase, so the float result does not
-        # depend on response arrival order (see JobExecution
+        # — the job runner applies all remote contributions in provenance
+        # order at end of main phase, so the float result does not depend
+        # on response arrival order (see JobExecution
         # ._apply_staged_responses).  The apply cost stays on this slice.
         spec = exc.spec
         vals = spec.apply_transform(values, side.weights if spec.use_weights else None)
-        exc.stage_remote(m.index, side.rows, vals)
+        exc.stage_remote(m.index, side.keys, vals)
     else:
         ctx = ws.ctx
         for (task, node_g, nbr_g, w, tag), value in zip(side.tasks, values):
@@ -583,10 +584,11 @@ def _process_response(exc: "JobExecution", ws: WorkerState,
             ctx._node_local = node_g - m.lo
             ctx._nbr_global = nbr_g
             ctx._edge_weight = w
+            ctx._edge_idx = -1  # continuation writes are keyed by node
             task.read_done(ctx, value, tag)
         tally.atomic_ops += ws.pending_atomics
         ws.pending_atomics = 0
-    # The side structure is fully consumed (rows were handed to staging,
+    # The side structure is fully consumed (keys were handed to staging,
     # scalar tasks were walked): return it to the pool.
     exc.recycle_side(side)
     return tally

@@ -97,7 +97,8 @@ class TaskContext:
 
     def write_remote(self, vertex: int, prop: str, value, op: ReduceOp) -> None:
         """Reduce ``value`` into ``vertex.prop`` wherever it lives."""
-        self._dm.write_remote(self._worker, vertex, prop, value, op)
+        key = self._edge_idx if self._edge_idx >= 0 else self._node_local
+        self._dm.write_remote(self._worker, vertex, prop, value, op, key)
 
     def call_remote(self, machine: int, fn_id: int, *args) -> None:
         """Fire-and-forget remote method invocation (Section 3.4)."""

@@ -130,6 +130,7 @@ def execute_edge_map_chunk(exc: "JobExecution", machine: "Machine",
     owners = csr.nbr_owner[es:ee]
     offsets = csr.nbr_offset[es:ee]
     gslots = csr.nbr_ghost_slot[es:ee]
+    keys = np.arange(es, ee)  # provenance: the local CSR edge index
     edge_data = csr.edge_data(spec.edge_prop) if spec.use_weights else None
     weights = edge_data[es:ee] if edge_data is not None else None
     if edge_mask is not None:
@@ -137,6 +138,7 @@ def execute_edge_map_chunk(exc: "JobExecution", machine: "Machine",
         owners = owners[edge_mask]
         offsets = offsets[edge_mask]
         gslots = gslots[edge_mask]
+        keys = keys[edge_mask]
         if weights is not None:
             weights = weights[edge_mask]
 
@@ -170,10 +172,10 @@ def execute_edge_map_chunk(exc: "JobExecution", machine: "Machine",
 
     if spec.direction == "pull":
         _pull(exc, machine, ws, spec, tally, rows, offsets, gslots, owners,
-              weights, is_local, is_ghost, is_remote)
+              keys, weights, is_local, is_ghost, is_remote)
     else:
         _push(exc, machine, ws, spec, tally, rows, offsets, gslots, owners,
-              weights, is_local, is_ghost, is_remote)
+              keys, weights, is_local, is_ghost, is_remote)
     return tally
 
 
@@ -235,7 +237,7 @@ def _pull_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
             # the ~chunk-sized allocation (and its page faults) per chunk
             # buys nothing.
             vals = np.take(src, sel, mode="clip",
-                           out=machine.stage_cache.scratch(n, src.dtype, 2))
+                           out=machine.scratch(n, src.dtype))
         else:
             vals = src[sel]
         vals = spec.apply_transform(vals, w)
@@ -253,9 +255,9 @@ def _pull_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
         tally.seq_bytes += n * 2 * VALUE_BYTES  # marshal into the buffer
         # Destination-sorted sub-chunks: one fused append per destination,
         # pre-sliced at plan build time (same batches the bounds loop made).
-        for dst, b0, b1, run_offsets, run_rows in plan.dest_runs:
+        for dst, b0, b1, (run_offsets, run_keys) in plan.dest_runs:
             buf = ws.read_buf(dst, spec.source)
-            buf.append(run_offsets, run_rows,
+            buf.append(run_offsets, run_keys,
                        w_remote[b0:b1] if w_remote is not None else None)
             ws.maybe_flush_reads(dst, spec.source)
 
@@ -269,8 +271,7 @@ def _push_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
         # slice below re-copies before buffering, so nothing aliasing this
         # buffer outlives the chunk).
         src_vals = np.take(src, plan.rows, mode="clip",
-                           out=machine.stage_cache.scratch(
-                               plan.n_edges, src.dtype, 2))
+                           out=machine.scratch(plan.n_edges, src.dtype))
     else:
         src_vals = src[plan.rows]
     src_vals = spec.apply_transform(src_vals, weights)
@@ -309,14 +310,14 @@ def _push_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
         tally.cpu_ops += n * (exc.marshal_per_item / exc.cpu_op_time)
         tally.seq_bytes += n * 2 * VALUE_BYTES
         # Destination-sorted sub-chunks, as in _pull_planned.
-        for dst, b0, b1, run_offsets, _ in plan.dest_runs:
+        for dst, b0, b1, run_addr in plan.dest_runs:
             buf = ws.write_buf(dst, spec.target, spec.op)
-            buf.append(run_offsets, rem_vals[b0:b1])
+            buf.append(run_addr, rem_vals[b0:b1])
             ws.maybe_flush_writes(dst, spec.target)
 
 
 def _pull(exc, machine, ws, spec, tally, rows, offsets, gslots, owners,
-          weights, is_local, is_ghost, is_remote) -> None:
+          keys, weights, is_local, is_ghost, is_remote) -> None:
     """n.target op= f(t.source) over in-neighbors t.
 
     The target node is always local and owned by this worker (all in-edges of
@@ -347,20 +348,20 @@ def _pull(exc, machine, ws, spec, tally, rows, offsets, gslots, owners,
 
     if is_remote.any():
         _pull_remote(exc, machine, ws, spec, tally,
-                     rows[is_remote], offsets[is_remote], owners[is_remote],
+                     keys[is_remote], offsets[is_remote], owners[is_remote],
                      weights[is_remote] if weights is not None else None)
 
 
-def _pull_remote(exc, machine, ws, spec, tally, rem_rows, rem_offsets,
+def _pull_remote(exc, machine, ws, spec, tally, rem_keys, rem_offsets,
                  rem_owners, rem_weights) -> None:
     order = np.argsort(rem_owners, kind="stable")
     rem_owners = rem_owners[order]
-    rem_rows = rem_rows[order]
+    rem_keys = rem_keys[order]
     rem_offsets = rem_offsets[order]
     if rem_weights is not None:
         rem_weights = rem_weights[order]
     bounds = np.searchsorted(rem_owners, np.arange(exc.num_machines + 1))
-    n = len(rem_rows)
+    n = len(rem_keys)
     exc.stats.remote_reads += n
     tally.cpu_ops += n * (exc.marshal_per_item / exc.cpu_op_time)
     tally.seq_bytes += n * 2 * VALUE_BYTES  # marshal into the buffer
@@ -369,13 +370,13 @@ def _pull_remote(exc, machine, ws, spec, tally, rem_rows, rem_offsets,
         if b1 <= b0:
             continue
         buf = ws.read_buf(dst, spec.source)
-        buf.append(rem_offsets[b0:b1], rem_rows[b0:b1],
+        buf.append(rem_offsets[b0:b1], rem_keys[b0:b1],
                    rem_weights[b0:b1] if rem_weights is not None else None)
         ws.maybe_flush_reads(dst, spec.source)
 
 
 def _push(exc, machine, ws, spec, tally, rows, offsets, gslots, owners,
-          weights, is_local, is_ghost, is_remote) -> None:
+          keys, weights, is_local, is_ghost, is_remote) -> None:
     """t.target op= f(n.source) over out-neighbors t."""
     src_vals = machine.props[spec.source][rows]
     src_vals = spec.apply_transform(src_vals, weights)
@@ -412,14 +413,12 @@ def _push(exc, machine, ws, spec, tally, rows, offsets, gslots, owners,
     if is_remote.any():
         sel = is_remote
         rem_owners = owners[sel]
-        rem_offsets = offsets[sel]
-        rem_vals = src_vals[sel]
         order = np.argsort(rem_owners, kind="stable")
         rem_owners = rem_owners[order]
-        rem_offsets = rem_offsets[order]
-        rem_vals = rem_vals[order]
+        rem_addr = np.stack((offsets[sel], keys[sel]))[:, order]
+        rem_vals = src_vals[sel][order]
         bounds = np.searchsorted(rem_owners, np.arange(exc.num_machines + 1))
-        n = len(rem_offsets)
+        n = len(rem_vals)
         exc.stats.remote_writes += n
         tally.cpu_ops += n * (exc.marshal_per_item / exc.cpu_op_time)
         tally.seq_bytes += n * 2 * VALUE_BYTES
@@ -428,7 +427,7 @@ def _push(exc, machine, ws, spec, tally, rows, offsets, gslots, owners,
             if b1 <= b0:
                 continue
             buf = ws.write_buf(dst, spec.target, spec.op)
-            buf.append(rem_offsets[b0:b1], rem_vals[b0:b1])
+            buf.append(rem_addr[:, b0:b1], rem_vals[b0:b1])
             ws.maybe_flush_writes(dst, spec.target)
 
 

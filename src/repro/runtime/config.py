@@ -186,16 +186,19 @@ class EngineConfig:
     audit: bool = False
 
     #: Apply staged remote contributions (read responses, buffered writes,
-    #: ghost partials) in canonical content order rather than arrival order.
-    #: This is the invariant that makes float reductions bit-identical
-    #: across schedules; disabling it exists ONLY as the audit harness's
-    #: negative control, to prove the auditor detects the divergence.
+    #: ghost partials) in provenance order — per target row, ascending by
+    #: where each came from (source machine, CSR edge) — rather than
+    #: arrival order.  This is the invariant that makes float reductions
+    #: bit-identical across schedules; ``False`` (arrival order) exists ONLY
+    #: as the audit harness's negative control, to prove the auditor
+    #: detects the divergence.  The name predates provenance keys, when
+    #: staging sorted each group by content.
     content_sorted_staging: bool = True
 
     #: Master switch for the array-native event-engine fast paths: the
     #: simulator's same-time run queue and event free list, message/side-
-    #: structure pooling on the request path, and the cached canonical
-    #: staging sort.  Purely host-side — schedules, simulated times,
+    #: structure pooling on the request path, and scratch-buffer gathers.
+    #: Purely host-side — schedules, simulated times,
     #: traffic and results are bit-identical with the switch on or off.
     #: Off exists for A/B benchmarking (bench_wallclock measures both)
     #: and as a debugging fallback.

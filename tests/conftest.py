@@ -52,6 +52,28 @@ def loaded(small_rmat):
     return cluster, cluster.load_graph(small_rmat)
 
 
+def pagerank_oracle(g, iterations: int, damping: float = 0.85,
+                    teleport=None) -> np.ndarray:
+    """Dense numpy power iteration with the engine's exact update rule:
+    dangling mass is spread uniformly (global) or onto ``teleport``
+    (personalized), ``iterations`` fixed steps from the uniform vector
+    (global) or from ``teleport`` (personalized)."""
+    n = g.num_nodes
+    src = np.repeat(np.arange(n), np.diff(g.out_starts))
+    outdeg = np.diff(g.out_starts).astype(np.float64)
+    pr = np.full(n, 1.0 / n) if teleport is None else teleport.copy()
+    for _ in range(iterations):
+        d_mass = pr[outdeg == 0].sum()
+        nxt = np.zeros(n)
+        np.add.at(nxt, g.out_nbrs, (pr / np.maximum(outdeg, 1.0))[src])
+        if teleport is None:
+            pr = (1.0 - damping) / n + damping * d_mass / n + damping * nxt
+        else:
+            pr = (1.0 - damping) * teleport + damping * (nxt
+                                                        + d_mass * teleport)
+    return pr
+
+
 # -- seeded mutation-scenario oracle harness ---------------------------------
 #
 # Shared by every incremental-recompute test: a scenario generator that

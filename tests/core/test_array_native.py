@@ -1,22 +1,28 @@
-"""Array-native staged apply: exactness of the fused sort-and-reduce path.
+"""Provenance-ordered staged apply: exactness of ``canonical_apply``.
 
-``canonical_apply`` / ``canonical_sorted`` / ``canonical_order`` promise
-*bit-identical* results to the reference ``np.lexsort((vals, rows))`` path —
-that is what keeps the engine deterministic while the hot loop goes
-array-native.  These tests sweep every :class:`ReduceOp`, the dtype/edge-value
-guard rails (NaN, ±inf, -0.0, wide ints), the singleton/multi split, and the
-end-to-end flag: ``array_native_events`` on vs. off must produce identical
-PageRank fingerprints under perturbed tie-breaker schedules.
+``canonical_apply`` reduces each target row's staged contributions in
+ascending provenance-key order, with no value sort: SUM reduces the row's
+contributions from zero and adds the total once, the other operators fold
+them into the target, OVERWRITE keeps the highest-key contribution, and
+groups whose result cannot depend on order apply unordered.  These tests
+sweep every :class:`ReduceOp` against element-by-element references, the
+special values (NaN, ±inf, -0.0, wide ints, huge keys), the cached slot
+path of a full superstep, and the end-to-end flag: ``array_native_events``
+on vs. off must produce identical PageRank fingerprints under perturbed
+tie-breaker schedules.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.machine import LocalCsr
 from repro.core.properties import ReduceOp
-from repro.core.routing_plan import (StageOrderCache, canonical_apply,
-                                     canonical_order, canonical_sorted)
+from repro.core.routing_plan import StageSlots, canonical_apply, edge_rows
 
 ALL_OPS = list(ReduceOp)
+UFUNCS = {ReduceOp.SUM: np.add, ReduceOp.MIN: np.minimum,
+          ReduceOp.MAX: np.maximum, ReduceOp.AND: np.logical_and,
+          ReduceOp.OR: np.logical_or}
 
 
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -30,8 +36,28 @@ def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def reference_apply(op, target, rows, vals):
+    """Staging before provenance keys: fold in (row, value) order."""
     order = np.lexsort((vals, rows))
     op.apply_at(target, rows[order], vals[order])
+
+
+def provenance_reference(op, target, rows, vals, keys):
+    """The documented rule, one element at a time in ascending key order."""
+    order = np.argsort(keys, kind="stable")
+    if op is ReduceOp.SUM:
+        sums = {}
+        for i in order:
+            r = int(rows[i])
+            sums[r] = sums.get(r, vals.dtype.type(0)) + vals[i]
+        for r, total in sums.items():
+            target[r] = target[r] + total
+        return
+    for i in order:
+        r = int(rows[i])
+        if op is ReduceOp.OVERWRITE:
+            target[r] = vals[i]
+        else:
+            target[r] = UFUNCS[op](target[r], vals[i])
 
 
 def make_case(rng, n, n_targets, dtype):
@@ -56,172 +82,126 @@ def fresh_target(op, n_targets, dtype):
     return np.full(n_targets, init, dtype=dtype)
 
 
+def shuffled_keys(rng, n):
+    return rng.permutation(n).astype(np.int64)
+
+
 class TestCanonicalApplyExactness:
     @pytest.mark.parametrize("op", ALL_OPS, ids=lambda o: o.value)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int32,
                                        np.bool_],
                              ids=["f8", "f4", "i4", "b1"])
     def test_matches_lexsort_reference(self, op, dtype):
+        """Keys that rank the contributions in (row, value) order reproduce
+        the content-sorted staging bit for bit: the apply follows the keys,
+        whatever order the arrays arrive in."""
         rng = np.random.default_rng(3)
-        cache = StageOrderCache()
         for trial in range(6):
             rows, vals = make_case(rng, 400, 60, dtype)
+            keys = np.empty(len(rows), dtype=np.int64)
+            keys[np.lexsort((vals, rows))] = np.arange(len(rows))
             ref = fresh_target(op, 60, dtype)
             got = fresh_target(op, 60, dtype)
             reference_apply(op, ref, rows, vals)
-            canonical_apply(op, got, rows, vals, cache, key=("t", op.value))
+            canonical_apply(op, got, keys, vals, rows)
             assert bitwise_equal(ref, got), f"trial {trial}"
 
     @pytest.mark.parametrize("op", [ReduceOp.SUM, ReduceOp.MIN, ReduceOp.MAX])
     def test_warm_cache_reuses_row_stream_exactly(self, op):
-        """Same rows, fresh values each superstep — the stationary shape."""
+        """Full supersteps over one cached slot map — the stationary shape:
+        same remote edges, fresh values and arrival order every time."""
         rng = np.random.default_rng(11)
-        cache = StageOrderCache()
-        rows = rng.integers(0, 80, size=500).astype(np.int64)
+        degrees = rng.integers(0, 9, size=80)
+        starts = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
+        m = int(starts[-1])
+        csr = LocalCsr(starts=starts, nbrs=np.zeros(m, dtype=np.int64),
+                       weights=None,
+                       nbr_owner=rng.integers(0, 3, m).astype(np.int32),
+                       nbr_offset=np.zeros(m, dtype=np.int64),
+                       nbr_ghost_slot=np.full(m, -1, dtype=np.int64))
+        slots = StageSlots(csr, False, 0)
+        assert np.array_equal(slots.edges, np.flatnonzero(csr.nbr_owner != 0))
+        buf = np.empty(m)
         for _ in range(4):
-            vals = rng.standard_normal(500)
-            ref = fresh_target(op, 80, np.float64)
-            got = fresh_target(op, 80, np.float64)
-            reference_apply(op, ref, rows, vals)
-            canonical_apply(op, got, rows, vals, cache, key="grp")
+            keys = rng.permutation(slots.edges)
+            vals = rng.standard_normal(len(keys))
+            ref = rng.standard_normal(80)
+            got = ref.copy()
+            provenance_reference(op, ref, edge_rows(starts, keys), vals, keys)
+            canonical_apply(op, got, keys, vals, slots=slots, buf=buf)
             assert bitwise_equal(ref, got)
-        assert cache.hits >= 3
 
     def test_special_float_values(self):
-        """±inf, -0.0, and duplicate collisions stay bit-exact (SUM can
+        """±inf, -0.0 and duplicate collisions stay bit-exact (SUM can
         produce NaN from inf + -inf; both paths must produce it the same
         way)."""
         rows = np.array([3, 0, 3, 1, 0, 3, 2, 2], dtype=np.int64)
         vals = np.array([np.inf, -0.0, -np.inf, 1.5, 0.0, 2.0, -np.inf,
                          np.inf])
-        cache = StageOrderCache()
+        keys = shuffled_keys(np.random.default_rng(1), len(rows))
         for op in (ReduceOp.SUM, ReduceOp.MIN, ReduceOp.MAX,
                    ReduceOp.OVERWRITE):
             ref = fresh_target(op, 4, np.float64)
             got = fresh_target(op, 4, np.float64)
             with np.errstate(invalid="ignore"):  # inf + -inf is the point
-                reference_apply(op, ref, rows, vals)
-                canonical_apply(op, got, rows, vals, cache, key=op.value)
+                provenance_reference(op, ref, rows, vals, keys)
+                canonical_apply(op, got, keys, vals, rows)
             assert bitwise_equal(ref, got), op
 
     def test_nan_values_fall_back_to_lexsort(self):
-        rows = np.array([1, 0, 1, 2], dtype=np.int64)
-        vals = np.array([1.0, np.nan, 2.0, np.nan])
-        ref = np.zeros(3)
-        got = np.zeros(3)
-        reference_apply(ReduceOp.SUM, ref, rows, vals)
-        canonical_apply(ReduceOp.SUM, got, rows, vals)
-        assert bitwise_equal(ref, got)
+        """NaN makes MIN/MAX order-dependent: such groups leave the
+        unordered fast path for the keyed (lexsort) one."""
+        rows = np.array([1, 0, 1, 2, 1], dtype=np.int64)
+        vals = np.array([1.0, np.nan, 2.0, np.nan, -1.0])
+        keys = np.array([4, 0, 2, 3, 1], dtype=np.int64)
+        for op in (ReduceOp.SUM, ReduceOp.MIN, ReduceOp.MAX):
+            ref = np.zeros(3)
+            got = np.zeros(3)
+            with np.errstate(invalid="ignore"):
+                provenance_reference(op, ref, rows, vals, keys)
+                canonical_apply(op, got, keys, vals, rows)
+            assert bitwise_equal(ref, got), op
 
     def test_wide_int_values_fall_back(self):
-        """int64 values exceed the float64 mantissa — must not be packed."""
+        """int64 values beyond the float64 mantissa stay exact."""
         rows = np.array([0, 1, 0, 1], dtype=np.int64)
         vals = np.array([2 ** 60, 2 ** 60 + 1, 5, -7], dtype=np.int64)
-        ref = np.zeros(2, dtype=np.int64)
-        got = np.zeros(2, dtype=np.int64)
-        reference_apply(ReduceOp.SUM, ref, rows, vals)
-        canonical_apply(ReduceOp.SUM, got, rows, vals)
-        assert np.array_equal(ref, got)
+        keys = np.array([3, 2, 1, 0], dtype=np.int64)
+        for op in (ReduceOp.SUM, ReduceOp.MIN, ReduceOp.MAX):
+            ref = np.zeros(2, dtype=np.int64)
+            got = np.zeros(2, dtype=np.int64)
+            provenance_reference(op, ref, rows, vals, keys)
+            canonical_apply(op, got, keys, vals, rows)
+            assert np.array_equal(ref, got), op
 
     def test_huge_row_ids_fall_back(self):
-        rows = np.array([2 ** 53, 0, 2 ** 53], dtype=np.int64)
+        """Keys past 2**53 (machine bits of a write key) order exactly:
+        they are never squeezed through a float."""
+        big = 2 ** 53
+        rows = np.zeros(3, dtype=np.int64)
         vals = np.array([1.0, 2.0, 3.0])
-        target_ref = {}
-        # reference via dense lexsort on a dict-backed target is overkill;
-        # just check the order helper refuses the pack and still matches
-        order = canonical_order(rows, vals)
-        assert np.array_equal(order, np.lexsort((vals, rows)))
-        assert target_ref == {}
+        keys = np.array([big + 1, big, big + 2], dtype=np.int64)
+        got = np.zeros(1)
+        canonical_apply(ReduceOp.OVERWRITE, got, keys, vals, rows)
+        assert got[0] == 3.0  # the highest key wins
+        keys = np.array([big + 2, big, big + 1], dtype=np.int64)
+        canonical_apply(ReduceOp.OVERWRITE, got, keys, vals, rows)
+        assert got[0] == 1.0
 
     def test_empty_and_singleton_streams(self):
         t = np.zeros(4)
-        canonical_apply(ReduceOp.SUM, t, np.array([], dtype=np.int64),
-                        np.array([]))
+        empty = np.array([], dtype=np.int64)
+        canonical_apply(ReduceOp.SUM, t, empty, np.array([]), empty)
         assert (t == 0).all()
-        canonical_apply(ReduceOp.SUM, t, np.array([2], dtype=np.int64),
-                        np.array([5.0]))
+        canonical_apply(ReduceOp.SUM, t, np.array([9], dtype=np.int64),
+                        np.array([5.0]), np.array([2], dtype=np.int64))
         assert t[2] == 5.0
 
 
-class TestCanonicalOrderAndSorted:
-    @pytest.mark.parametrize("dtype", [np.float64, np.int32],
-                             ids=["f8", "i4"])
-    def test_order_equals_lexsort(self, dtype):
-        rng = np.random.default_rng(17)
-        cache = StageOrderCache()
-        for _ in range(5):
-            rows, vals = make_case(rng, 300, 40, dtype)
-            assert np.array_equal(canonical_order(rows, vals, cache, "k"),
-                                  np.lexsort((vals, rows)))
-
-    def test_sorted_equals_gathered_lexsort(self):
-        rng = np.random.default_rng(23)
-        cache = StageOrderCache()
-        rows, vals = make_case(rng, 300, 40, np.float64)
-        for _ in range(3):  # cold then warm
-            sr, sv = canonical_sorted(rows, vals, cache, "k")
-            order = np.lexsort((vals, rows))
-            assert np.array_equal(sr, rows[order])
-            assert bitwise_equal(np.asarray(sv), vals[order])
-
-
-class TestStageOrderCache:
-    def test_lookup_validates_content_not_just_key(self):
-        cache = StageOrderCache()
-        rows_a = np.array([2, 0, 1], dtype=np.int64)
-        rows_b = np.array([1, 2, 0], dtype=np.int64)
-        perm_a, _ = cache.lookup("k", rows_a)
-        perm_b, sorted_b = cache.lookup("k", rows_b)  # same key, new stream
-        assert cache.hits == 0 and cache.misses == 2
-        assert np.array_equal(sorted_b, np.sort(rows_b))
-        assert np.array_equal(perm_b, np.argsort(rows_b, kind="stable"))
-        assert not np.array_equal(perm_a, perm_b)
-
-    def test_scratch_tags_are_distinct_buffers(self):
-        cache = StageOrderCache()
-        a = cache.scratch(16, np.float64, 0)
-        b = cache.scratch(16, np.float64, 1)
-        assert a.base is not None and b.base is not None
-        assert a.base is not b.base
-        # same (dtype, tag) reuses the allocation
-        assert cache.scratch(8, np.float64, 0).base is a.base
-
-    def test_scratch_grows(self):
-        cache = StageOrderCache()
-        small = cache.scratch(10, np.int64)
-        big = cache.scratch(5000, np.int64)
-        assert len(big) == 5000 and big.base is not small.base
-
-    def test_group_split_positions(self):
-        cache = StageOrderCache()
-        sorted_rows = np.array([0, 1, 1, 2, 3, 4, 4, 4, 5], dtype=np.int64)
-        ps, pm, rows_s, rows_m = cache.group_split("k", sorted_rows)
-        assert np.array_equal(rows_s, [0, 2, 3, 5])
-        assert np.array_equal(rows_m, [1, 1, 4, 4, 4])
-        assert np.array_equal(sorted_rows[ps], rows_s)
-        assert np.array_equal(sorted_rows[pm], rows_m)
-        # memoized by object identity
-        assert cache.group_split("k", sorted_rows)[0] is ps
-
-    def test_group_split_below_threshold_returns_none(self):
-        """Fewer than a quarter singletons: the split is not worth it."""
-        cache = StageOrderCache()
-        sorted_rows = np.repeat(np.arange(10, dtype=np.int64), 8)
-        assert cache.group_split("k", sorted_rows) is None
-        # the None outcome is memoized too
-        assert cache.group_split("k", sorted_rows) is None
-
-    def test_group_split_recomputes_for_new_stream(self):
-        cache = StageOrderCache()
-        a = np.array([0, 1, 2, 3], dtype=np.int64)
-        b = np.array([0, 0, 1, 2, 3, 4], dtype=np.int64)
-        split_a = cache.group_split("k", a)
-        split_b = cache.group_split("k", b)  # same key, different object
-        assert split_a is not split_b
-        assert np.array_equal(split_b[2], [1, 2, 3, 4])
-
-
 class TestApplyUnique:
+    """Duplicate-free indices — a ghost partial batch — apply as one
+    vectorized ``combine``, exactly like the sequential ``apply_at``."""
+
     @pytest.mark.parametrize("op", ALL_OPS, ids=lambda o: o.value)
     def test_matches_apply_at_on_unique_indices(self, op):
         rng = np.random.default_rng(29)
@@ -234,8 +214,56 @@ class TestApplyUnique:
         a = fresh_target(op, 50, np.bool_ if dtype is bool else np.float64)
         b = a.copy()
         op.apply_at(a, idx, vals)
-        op.apply_unique(b, idx, vals)
+        b[idx] = op.combine(b[idx], vals)
         assert bitwise_equal(a, b)
+
+
+class TestMachineScratch:
+    @pytest.fixture
+    def machine(self, small_rmat):
+        from tests.conftest import make_cluster
+
+        return make_cluster(2, None).load_graph(small_rmat).machines[0]
+
+    def test_scratch_tags_are_distinct_buffers(self, machine):
+        a = machine.scratch(16, np.float64, 0)
+        b = machine.scratch(16, np.float64, 1)
+        assert a.base is not None and b.base is not None
+        assert a.base is not b.base
+        # same (dtype, tag) reuses the allocation
+        assert machine.scratch(8, np.float64, 0).base is a.base
+
+    def test_scratch_grows(self, machine):
+        small = machine.scratch(10, np.int64)
+        big = machine.scratch(5000, np.int64)
+        assert len(big) == 5000 and big.base is not small.base
+
+
+class TestStageSlots:
+    def test_slot_map_is_cached_and_exact(self, small_rmat):
+        from tests.conftest import make_cluster
+
+        m = make_cluster(2, None).load_graph(small_rmat).machines[1]
+        slots = m.stage_slots("in", False)
+        assert m.stage_slots("in", False) is slots
+        csr = m.csr("in")
+        remote = np.flatnonzero(csr.nbr_owner != m.index)
+        assert np.array_equal(slots.edges, remote)
+        assert np.array_equal(slots.seg_rows[slots.seg_id],
+                              edge_rows(csr.starts, remote))
+        assert np.all(np.diff(slots.seg_rows) > 0)
+
+    def test_ghost_edges_leave_the_slot_map(self, small_rmat):
+        from tests.conftest import make_cluster
+
+        m = make_cluster(2, 40).load_graph(small_rmat).machines[0]
+        csr = m.csr("in")
+        ghosted = (csr.nbr_owner != m.index) & (csr.nbr_ghost_slot >= 0)
+        assert ghosted.any()
+        with_ghosts = m.stage_slots("in", True)
+        assert not np.isin(np.flatnonzero(ghosted), with_ghosts.edges).any()
+        assert len(with_ghosts.edges) + ghosted.sum() == len(
+            m.stage_slots("in", False).edges)
 
 
 class TestFlagEquivalence:

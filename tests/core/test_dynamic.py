@@ -7,7 +7,7 @@ from repro import ClusterConfig, PgxdCluster, rmat
 from repro.algorithms import pagerank, wcc
 from repro.dynamic import ContinuousPatternMonitor, DynamicGraph
 from repro.patterns import triangle_pattern
-from tests.conftest import make_cluster
+from tests.conftest import make_cluster, pagerank_oracle
 
 
 class TestDynamicGraph:
@@ -101,18 +101,24 @@ class TestSnapshots:
     def test_pagerank_across_epochs_changes(self):
         dyn = DynamicGraph(50, [(i, (i + 1) % 50) for i in range(50)])
 
-        def pr_top():
+        def pr_with_oracle():
+            g = dyn.snapshot()
             cluster = make_cluster(2, None)
-            dg = cluster.load_graph(dyn.snapshot())
+            dg = cluster.load_graph(g)
             r = pagerank(cluster, dg, "pull", max_iterations=20)
-            return int(np.argmax(r.values["pr"]))
+            return r.values["pr"], pagerank_oracle(g, 20)
 
-        top_before = pr_top()
+        before, oracle_before = pr_with_oracle()
+        np.testing.assert_allclose(before, oracle_before, rtol=1e-12)
+        np.testing.assert_allclose(before, 1.0 / 50, rtol=1e-12)  # a ring
         for v in range(50):
             if v != 7:
                 dyn.add_edge(v, 7)
         dyn.apply_updates()
-        assert pr_top() == 7 or top_before != pr_top()
+        after, oracle_after = pr_with_oracle()
+        np.testing.assert_allclose(after, oracle_after, rtol=1e-12)
+        assert int(np.argmax(oracle_after)) == 7
+        assert int(np.argmax(after)) == 7
 
 
 class TestContinuousPatterns:
@@ -200,12 +206,18 @@ class TestContinuousPatterns:
         dyn = DynamicGraph(30)
         monitor = ContinuousPatternMonitor(dyn, triangle_pattern(),
                                            cluster_factory=self.factory())
-        total_appeared = 0
+        total_appeared = total_disappeared = 0
         for _ in range(8):
             for _ in range(10):
                 dyn.add_edge(int(rng.integers(30)), int(rng.integers(30)))
             report = monitor.on_batch(dyn.apply_updates())
             total_appeared += len(report["appeared"])
-        # Cross-check the final state against a fresh full match.
-        assert monitor.prime() >= 0
-        assert total_appeared == len(monitor._known) or total_appeared >= 0
+            total_disappeared += len(report["disappeared"])
+        # Cross-check the final state against a fresh full match: an
+        # insert-only stream reports every final match exactly once.
+        full = monitor._all_matches()
+        assert len(full) > 0
+        assert monitor._known == full
+        assert total_disappeared == 0
+        assert total_appeared == len(full)
+        assert monitor.prime() == len(full)

@@ -219,7 +219,8 @@ class TestFlushPricing:
         ws.read_bufs[(1, "x")] = rbuf
         wbuf = WriteBuffer()
         for _ in range(2):
-            wbuf.append(np.arange(5, dtype=np.int64), np.ones(5))
+            wbuf.append(np.tile(np.arange(5, dtype=np.int64), (2, 1)),
+                        np.ones(5))
         ws.write_bufs[(1, "t")] = (wbuf, ReduceOp.SUM)
 
         flushed = []

@@ -52,9 +52,9 @@ class TestReadBuffer:
         buf = ReadBuffer()
         buf.append(np.array([1, 2]), np.array([10, 20]))
         buf.append(np.array([3]), np.array([30]))
-        offsets, rows, weights = buf.drain()
+        offsets, keys, weights = buf.drain()
         assert offsets.tolist() == [1, 2, 3]
-        assert rows.tolist() == [10, 20, 30]
+        assert keys.tolist() == [10, 20, 30]
         assert weights is None
         assert buf.empty and buf.nbytes == 0
 
@@ -84,45 +84,53 @@ class TestReadBuffer:
         buf.drain()
         # a drained buffer may switch modes — it is empty again
         buf.append(np.array([2]), np.array([1]))
-        offsets, rows, weights = buf.drain()
+        offsets, keys, weights = buf.drain()
         assert offsets.tolist() == [2] and weights is None
 
 
 class TestWriteBuffer:
     def test_accumulates_16b_per_item(self):
         buf = WriteBuffer()
-        buf.append(np.arange(3), np.ones(3))
+        buf.append(np.array([np.arange(3), np.arange(3)]), np.ones(3))
         assert buf.nbytes == 48
 
     def test_drain(self):
         buf = WriteBuffer()
-        buf.append(np.array([7]), np.array([1.5]))
-        offsets, values = buf.drain()
+        buf.append(np.array([[7], [40]]), np.array([1.5]))
+        offsets, values, keys = buf.drain()
         assert offsets.tolist() == [7] and values.tolist() == [1.5]
+        assert keys.tolist() == [40]
         assert buf.empty
 
     def test_drain_with_combine_collapses_duplicates(self):
         buf = WriteBuffer()
-        buf.append(np.array([3, 1, 3]), np.array([1.0, 2.0, 4.0]))
-        buf.append(np.array([1]), np.array([8.0]))
-        offsets, values = buf.drain(combine=ReduceOp.SUM)
+        buf.append(np.array([[3, 1, 3], [12, 11, 10]]),
+                   np.array([1.0, 2.0, 4.0]))
+        buf.append(np.array([[1], [5]]), np.array([8.0]))
+        offsets, values, keys = buf.drain(combine=ReduceOp.SUM)
         assert offsets.tolist() == [1, 3]
         assert values.tolist() == [10.0, 5.0]
+        # a combined write carries the smallest provenance key of its group
+        assert keys.tolist() == [5, 10]
         assert buf.empty
 
     def test_drain_with_combine_min(self):
         buf = WriteBuffer()
-        buf.append(np.array([0, 0, 2]), np.array([5.0, 3.0, 7.0]))
-        offsets, values = buf.drain(combine=ReduceOp.MIN)
+        buf.append(np.array([[0, 0, 2], [4, 3, 9]]),
+                   np.array([5.0, 3.0, 7.0]))
+        offsets, values, keys = buf.drain(combine=ReduceOp.MIN)
         assert offsets.tolist() == [0, 2]
         assert values.tolist() == [3.0, 7.0]
+        assert keys.tolist() == [3, 9]
 
     def test_drain_without_combine_preserves_duplicates(self):
         buf = WriteBuffer()
-        buf.append(np.array([3, 1, 3]), np.array([1.0, 2.0, 4.0]))
-        offsets, values = buf.drain()
+        buf.append(np.array([[3, 1, 3], [0, 1, 2]]),
+                   np.array([1.0, 2.0, 4.0]))
+        offsets, values, keys = buf.drain()
         assert offsets.tolist() == [3, 1, 3]
         assert values.tolist() == [1.0, 2.0, 4.0]
+        assert keys.tolist() == [0, 1, 2]
 
 
 class TestRmiRegistry:
@@ -156,10 +164,10 @@ class TestRmiRegistry:
 
 class TestSideStructure:
     def test_holds_vectorized_state(self):
-        side = SideStructure(request_id=1, prop="x", rows=np.arange(3))
-        assert side.rows.tolist() == [0, 1, 2] and side.tasks == []
+        side = SideStructure(request_id=1, prop="x", keys=np.arange(3))
+        assert side.keys.tolist() == [0, 1, 2] and side.tasks == []
 
     def test_holds_scalar_tasks(self):
         side = SideStructure(request_id=2, prop="x",
                              tasks=[("task", 0, 1, 0.0, None)])
-        assert side.rows is None and len(side.tasks) == 1
+        assert side.keys is None and len(side.tasks) == 1

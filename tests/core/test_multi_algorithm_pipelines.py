@@ -8,7 +8,7 @@ from repro import rmat, with_uniform_weights
 from repro.algorithms import (hop_dist, pagerank, personalized_pagerank,
                               sssp, wcc)
 from repro.query import PropertyQuery
-from tests.conftest import make_cluster
+from tests.conftest import make_cluster, pagerank_oracle
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +57,20 @@ class TestChainedAnalyses:
         r_global = pagerank(cluster, dg, "pull", max_iterations=20)
         r_pers = personalized_pagerank(cluster, dg, sources=[300],
                                        max_iterations=20)
-        top_global = int(np.argmax(r_global.values["pr"]))
-        top_pers = int(np.argmax(r_pers.values["ppr"]))
-        assert top_pers == 300 or top_pers != top_global
+        teleport = np.zeros(g.num_nodes)
+        teleport[300] = 1.0
+        want_global = pagerank_oracle(g, 20)
+        want_pers = pagerank_oracle(g, 20, teleport=teleport)
+        np.testing.assert_allclose(r_global.values["pr"], want_global,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(r_pers.values["ppr"], want_pers,
+                                   rtol=1e-12, atol=1e-300)
+        assert (int(np.argmax(r_global.values["pr"]))
+                == int(np.argmax(want_global)))
+        assert (int(np.argmax(r_pers.values["ppr"]))
+                == int(np.argmax(want_pers)))
+        assert not np.array_equal(np.argsort(want_global),
+                                  np.argsort(want_pers))
 
     def test_results_independent_of_prior_runs(self, session):
         """Running other algorithms first must not perturb later results."""

@@ -53,10 +53,21 @@ class TestCommands:
         assert "SA" in out and "PGX" in out and "GL" in out and "GX" in out
 
     def test_compare_pull_omits_push_only_systems(self, capsys):
+        from repro.bench.calibration import to_paper_scale
+        from repro.bench.harness import run_gl, run_gx, run_pgx, run_sa
+        from repro.graph.generators import paper_graph
+
         assert main(["compare", "--algorithm", "pr_pull", "--graph", "LJ",
                      "--machines", "2", *SMALL]) == 0
         out = capsys.readouterr().out
-        assert "GL" not in out.replace("GL ", "GL") or "GL" not in out
+        g = paper_graph("LJ", scale=1e-4)
+        assert run_gl(g, "LJ", "pr_pull", 2, 1e-4) is None
+        assert run_gx(g, "LJ", "pr_pull", 2, 1e-4) is None
+        sa = to_paper_scale(run_sa(g, "LJ", "pr_pull", 1e-4).seconds, 1e-4)
+        pgx = to_paper_scale(run_pgx(g, "LJ", "pr_pull", 2, 1e-4).seconds,
+                             1e-4)
+        assert out.splitlines()[1:] == [f"  SA   m=1   {sa:10.3f}",
+                                        f"  PGX  m=2   {pgx:10.3f}"]
 
     def test_generate_binary(self, tmp_path, capsys):
         out_file = tmp_path / "g.bin"
