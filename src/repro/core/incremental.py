@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..graph.csr import Graph, from_edges
+from ..graph.csr import Graph
 from ..runtime.stats import JobStats
 from . import barrier as barrier_mod
 from .engine import DistributedGraph, LocalView, PgxdCluster
@@ -198,24 +198,14 @@ class IncrementalEngine:
         self.weight_fn = weight_fn
         self.config = config or IncrementalConfig()
         self.epoch = dynamic.epoch
-        self.dg = cluster.load_graph(self._snapshot_graph())
-        #: epoch -> (weighted snapshot Graph, batch) prepared at mutate()
-        #: time, consumed by the MutationExecution when the job runs
-        self._pending: dict[int, tuple[Graph, object]] = {}
+        self.dg = cluster.load_graph(dynamic.snapshot(weight_fn))
+        #: epoch -> weighted snapshot Graph captured at mutate() time,
+        #: consumed by the MutationExecution when the job runs
+        self._pending: dict[int, Graph] = {}
         #: algo -> {"epoch", "graph", <warm-start arrays>}
         self._state: dict[str, dict] = {}
 
     # -- snapshots and epochs ----------------------------------------------
-
-    def _snapshot_graph(self) -> Graph:
-        edges = self.dynamic.edge_list()
-        src = np.fromiter((e[0] for e in edges), dtype=np.int64,
-                          count=len(edges))
-        dst = np.fromiter((e[1] for e in edges), dtype=np.int64,
-                          count=len(edges))
-        w = self.weight_fn(src, dst) if self.weight_fn is not None else None
-        return from_edges(src, dst, num_nodes=self.dynamic.num_nodes,
-                          weights=w)
 
     def pin(self) -> DistributedGraph:
         """The current epoch's distributed graph, for readers.
@@ -233,16 +223,14 @@ class IncrementalEngine:
         commit time, so queued mutation jobs each build their own epoch
         even when several are admitted before the first runs.
         """
-        batch = self.dynamic.apply_updates()
-        self._pending[batch.epoch] = (self._snapshot_graph(), batch)
-        job = self.mutation_job(batch)
+        job = self.stage()
         cl = self.cluster
         if session is not None and cl.scheduler is not None:
             with cl.scheduler.session_scope(session):
                 stats = cl.run_job(self, job)
         else:
             stats = cl.run_job(self, job)
-        return batch, stats
+        return self.dynamic.history[-1], stats
 
     def mutation_job(self, batch) -> MutationJob:
         """The job form of an applied batch (for direct scheduler submit).
@@ -260,7 +248,7 @@ class IncrementalEngine:
         """Commit pending updates, capture the snapshot, return the job
         (not yet run) — for explicit scheduler submission."""
         batch = self.dynamic.apply_updates()
-        self._pending[batch.epoch] = (self._snapshot_graph(), batch)
+        self._pending[batch.epoch] = self.dynamic.snapshot(self.weight_fn)
         return self.mutation_job(batch)
 
     def _build_epoch(self, job: MutationJob):
@@ -271,18 +259,11 @@ class IncrementalEngine:
         its CSR slices only when a changed edge lands in its out range
         (source side) or in range (destination side).
         """
-        graph, _batch = self._pending.pop(job.epoch)
+        graph = self._pending.pop(job.epoch)
         old = self.dg
         part = old.partitioning
-        changed = set()
-        edges = tuple(job.inserted) + tuple(job.removed)
-        if edges:
-            src = np.fromiter((e[0] for e in edges), dtype=np.int64,
-                              count=len(edges))
-            dst = np.fromiter((e[1] for e in edges), dtype=np.int64,
-                              count=len(edges))
-            changed.update(int(o) for o in part.owners(src))
-            changed.update(int(o) for o in part.owners(dst))
+        ends = np.array([*job.inserted, *job.removed], dtype=np.int64).ravel()
+        changed = set(part.owners(ends).tolist())
         reuse = {i: old.machines[i]
                  for i in range(len(old.machines)) if i not in changed}
         new_dg = DistributedGraph(self.cluster, graph, part, old.ghost_gids,
@@ -321,10 +302,17 @@ class IncrementalEngine:
                 removed.extend(batch.removed)
         return inserted, removed
 
-    def _should_fall_back(self, inserted, removed) -> bool:
-        delta = len(inserted) + len(removed)
+    def _plan(self, state: Optional[dict], cold: bool):
+        """``(mode, fallback, inserted, removed)`` of one recompute: a full
+        run when warm ``state`` is unusable (``cold``), or when the delta
+        since its epoch exceeds ``full_rerun_fraction`` of the edge set."""
+        if cold or state["epoch"] > self.epoch:
+            return "full", False, (), ()
+        inserted, removed = self._changes_since(state["epoch"])
         budget = self.config.full_rerun_fraction * max(1, self.dg.num_edges)
-        return delta > budget
+        if len(inserted) + len(removed) > budget:
+            return "full", True, inserted, removed
+        return "incremental", False, inserted, removed
 
     def _emit(self, result: IncrementalResult) -> None:
         self.cluster.hooks.emit(
@@ -342,17 +330,8 @@ class IncrementalEngine:
             raise ValueError("incremental sssp requires a weight_fn")
         n = self.dg.num_nodes
         state = self._state.get("sssp")
-        mode = "incremental"
-        fellback = False
-        if (state is None or state.get("root") != root
-                or state["epoch"] > self.epoch):
-            mode = "full"
-            inserted = removed = ()
-        else:
-            inserted, removed = self._changes_since(state["epoch"])
-            if self._should_fall_back(inserted, removed):
-                mode = "full"
-                fellback = True
+        mode, fellback, inserted, removed = self._plan(
+            state, state is None or state.get("root") != root)
 
         if mode == "full":
             dist0 = np.full(n, np.inf)
@@ -478,16 +457,7 @@ class IncrementalEngine:
         """Exact weakly connected components on the current epoch."""
         n = self.dg.num_nodes
         state = self._state.get("wcc")
-        mode = "incremental"
-        fellback = False
-        if state is None or state["epoch"] > self.epoch:
-            mode = "full"
-            inserted = removed = ()
-        else:
-            inserted, removed = self._changes_since(state["epoch"])
-            if self._should_fall_back(inserted, removed):
-                mode = "full"
-                fellback = True
+        mode, fellback, inserted, removed = self._plan(state, state is None)
 
         if mode == "full":
             comp0 = np.arange(n, dtype=np.float64)
@@ -630,16 +600,7 @@ class IncrementalEngine:
         n = self.dg.num_nodes
         cfg = self.config
         state = self._state.get("pagerank")
-        mode = "incremental"
-        fellback = False
-        if state is None or state["epoch"] > self.epoch:
-            mode = "full"
-            inserted = removed = ()
-        else:
-            inserted, removed = self._changes_since(state["epoch"])
-            if self._should_fall_back(inserted, removed):
-                mode = "full"
-                fellback = True
+        mode, fellback, inserted, removed = self._plan(state, state is None)
 
         if mode == "full":
             init = (1.0 - cfg.pr_damping) / n

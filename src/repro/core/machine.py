@@ -58,16 +58,17 @@ def _build_local_csr(starts: np.ndarray, nbrs: np.ndarray,
                      partitioning: Partitioning, ghosts: MachineGhosts,
                      edge_props: Optional[dict] = None,
                      reorder: Optional[np.ndarray] = None) -> LocalCsr:
+    """``reorder`` maps this direction's edge positions to the out-edge
+    positions that ``weights`` and ``edge_props`` are indexed by."""
     es, ee = int(starts[lo]), int(starts[hi])
     local_starts = (starts[lo:hi + 1] - es).astype(np.int64)
     local_nbrs = nbrs[es:ee]
-    local_weights = None if weights is None else weights[es:ee]
+    edges = slice(es, ee) if reorder is None else reorder[es:ee]
+    local_weights = None if weights is None else weights[edges]
     local_props = None
     if edge_props:
-        local_props = {}
-        for name, values in edge_props.items():
-            ordered = values if reorder is None else values[reorder]
-            local_props[name] = ordered[es:ee]
+        local_props = {name: values[edges]
+                       for name, values in edge_props.items()}
     owners = partitioning.owners(local_nbrs).astype(np.int32)
     offsets = partitioning.local_offsets(local_nbrs, owners)
     slots = ghosts.slot_of(local_nbrs)
@@ -102,24 +103,29 @@ class Machine:
             # slices are adopted verbatim from the previous epoch's machine.
             # CSRs are immutable after load, and the adopter shares the same
             # pivots and ghost table, so the endpoint resolution carries over
-            # too.  Everything mutable — property columns, queues, caches —
-            # is still built fresh, which is what keeps the previous epoch's
-            # snapshot readable while this one goes live.
+            # too, and so do the routing plans and stage slots derived from
+            # them.  Everything mutable — property columns, queues, scratch
+            # buffers — is still built fresh, which is what keeps the previous
+            # epoch's snapshot readable while this one goes live.
             self.out_csr = csr_from.out_csr
             self.in_csr = csr_from.in_csr
+            self.plan_cache = csr_from.plan_cache
+            self._stage_slots = csr_from._stage_slots
         else:
-            in_weights = None
-            if graph.edge_weights is not None:
-                in_weights = graph.edge_weights[graph.in_edge_index]
             self.out_csr = _build_local_csr(graph.out_starts, graph.out_nbrs,
                                             graph.edge_weights, self.lo,
                                             self.hi, partitioning, self.ghosts,
                                             edge_props=graph.edge_props)
             self.in_csr = _build_local_csr(graph.in_starts, graph.in_nbrs,
-                                           in_weights, self.lo, self.hi,
-                                           partitioning, self.ghosts,
+                                           graph.edge_weights, self.lo,
+                                           self.hi, partitioning, self.ghosts,
                                            edge_props=graph.edge_props,
                                            reorder=graph.in_edge_index)
+            #: memoized edge-map routing plans (valid while the CSRs are)
+            self.plan_cache = RoutingPlanCache(
+                max_bytes=config.engine.plan_cache_max_bytes)
+            #: lazily built staging slot maps, keyed (direction, ghost_ok)
+            self._stage_slots: dict[tuple[str, bool], StageSlots] = {}
 
         # Built-in degree properties (computed at load, like the paper's
         # edge-partitioning pass; algorithms read them locally).
@@ -132,12 +138,6 @@ class Machine:
         self.request_queue: deque = deque()
         #: chunk queue for the current job (filled by the Task Manager)
         self.chunk_queue: deque = deque()
-        #: memoized edge-map routing plans (both CSRs are immutable after
-        #: load, so plans stay valid for the machine's lifetime)
-        self.plan_cache = RoutingPlanCache(
-            max_bytes=config.engine.plan_cache_max_bytes)
-        #: lazily built staging slot maps, keyed (direction, ghost_ok)
-        self._stage_slots: dict[tuple[str, bool], StageSlots] = {}
         #: persistent per-(dtype, tag) work buffers (see :meth:`scratch`)
         self._scratch: dict = {}
         #: memoized write-combine group structure (worker flush trains are
@@ -153,7 +153,7 @@ class Machine:
 
     def stage_slots(self, direction: str, ghost_ok: bool) -> StageSlots:
         """The read-response slot map of one CSR direction (immutable CSRs
-        keep it valid for the machine's lifetime)."""
+        keep it valid for the CSRs' lifetime)."""
         key = (direction, bool(ghost_ok))
         slots = self._stage_slots.get(key)
         if slots is None:

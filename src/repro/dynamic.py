@@ -20,12 +20,13 @@ This module provides exactly that split:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from itertools import chain
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .graph.csr import Graph, from_edges
+from .graph.csr import Graph, from_sorted_edges
 from .patterns import Pattern, PatternMatcher
 from .core.engine import PgxdCluster
 
@@ -40,14 +41,17 @@ class UpdateBatch:
 
 
 class DynamicGraph:
-    """A mutable directed multigraph with epoch-stamped batched updates."""
+    """A mutable directed multigraph with epoch-stamped batched updates.
+
+    The edge multiset is one sorted int64 key array, ``u * num_nodes + v``
+    (CSR out-edge order, duplicates adjacent): a batch applies as a
+    vectorized merge, and :meth:`snapshot` assembles the CSR from it.
+    """
 
     def __init__(self, num_nodes: int,
                  edges: Optional[Iterable[tuple[int, int]]] = None):
         self.num_nodes = num_nodes
-        self._edges: dict[tuple[int, int], int] = {}
-        for e in edges or ():
-            self._edges[e] = self._edges.get(e, 0) + 1
+        self._keys = np.sort(self._pack(edges or ()))
         self.epoch = 0
         self._pending_inserts: list[tuple[int, int]] = []
         self._pending_removes: list[tuple[int, int]] = []
@@ -59,6 +63,16 @@ class DynamicGraph:
         if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
             raise ValueError(f"edge ({u}, {v}) outside vertex range")
 
+    def _pack(self, edges: Iterable[tuple[int, int]]) -> np.ndarray:
+        """The keys of ``(u, v)`` edges, range-checked (an out-of-range
+        edge's key would alias another edge's)."""
+        pairs = np.fromiter(chain.from_iterable(edges),
+                            dtype=np.int64).reshape(-1, 2)
+        bad = ((pairs < 0) | (pairs >= self.num_nodes)).any(axis=1)
+        if bad.any():
+            self._check(*pairs[np.argmax(bad)].tolist())
+        return pairs[:, 0] * self.num_nodes + pairs[:, 1]
+
     def add_edge(self, u: int, v: int) -> None:
         self._check(u, v)
         self._pending_inserts.append((u, v))
@@ -68,23 +82,31 @@ class DynamicGraph:
         self._pending_removes.append((u, v))
 
     def apply_updates(self) -> UpdateBatch:
-        """Apply the pending changes as one atomic batch; bumps the epoch."""
-        for e in self._pending_removes:
-            count = self._edges.get(e, 0)
-            if count == 0:
-                raise KeyError(f"cannot remove non-existent edge {e}")
-        applied_ins = tuple(self._pending_inserts)
-        applied_del = tuple(self._pending_removes)
-        for e in applied_del:
-            self._edges[e] -= 1
-            if self._edges[e] == 0:
-                del self._edges[e]
-        for e in applied_ins:
-            self._edges[e] = self._edges.get(e, 0) + 1
+        """Apply the pending changes as one atomic batch; bumps the epoch.
+
+        Removals are checked against the pre-batch multiset, copies
+        counted, before anything changes: a batch removing an edge more
+        often than it has copies raises ``KeyError`` and changes nothing.
+        Cost: O(batch * log E) search plus one O(E) copy.
+        """
+        keys = self._keys
+        removes = np.sort(self._pack(self._pending_removes))
+        # the k-th removal of a key takes the k-th copy of it
+        pos = (np.searchsorted(keys, removes) + np.arange(len(removes))
+               - np.searchsorted(removes, removes))
+        short = pos >= np.searchsorted(keys, removes, side="right")
+        if short.any():
+            e = divmod(int(removes[np.argmax(short)]), self.num_nodes)
+            raise KeyError(f"cannot remove edge {e}: the batch removes it "
+                           "more often than it was present")
+        keys = np.delete(keys, pos)
+        inserts = np.sort(self._pack(self._pending_inserts))
+        self._keys = np.insert(keys, np.searchsorted(keys, inserts), inserts)
+        self.epoch += 1
+        batch = UpdateBatch(self.epoch, tuple(self._pending_inserts),
+                            tuple(self._pending_removes))
         self._pending_inserts.clear()
         self._pending_removes.clear()
-        self.epoch += 1
-        batch = UpdateBatch(self.epoch, applied_ins, applied_del)
         self.history.append(batch)
         return batch
 
@@ -92,25 +114,28 @@ class DynamicGraph:
 
     @property
     def num_edges(self) -> int:
-        return sum(self._edges.values())
+        return len(self._keys)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edges
+        if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
+            return False
+        key = u * self.num_nodes + v
+        return bool(np.searchsorted(self._keys, key, side="right")
+                    > np.searchsorted(self._keys, key))
 
     def edge_list(self) -> list[tuple[int, int]]:
-        out = []
-        for e, count in sorted(self._edges.items()):
-            out.extend([e] * count)
-        return out
+        src, dst = np.divmod(self._keys, self.num_nodes)
+        return list(zip(src.tolist(), dst.tolist()))
 
     # -- snapshots ---------------------------------------------------------------
 
-    def snapshot(self) -> Graph:
+    def snapshot(self, weight_fn: Optional[Callable] = None) -> Graph:
         """Immutable CSR snapshot of the current epoch (for classical
-        analytics, as the paper prescribes)."""
-        edges = self.edge_list()
-        return from_edges([e[0] for e in edges], [e[1] for e in edges],
-                          num_nodes=self.num_nodes)
+        analytics, as the paper prescribes), weighted by ``weight_fn(src,
+        dst)`` if given.  Equals ``from_edges`` of :meth:`edge_list`."""
+        src, dst = np.divmod(self._keys, self.num_nodes)
+        weights = None if weight_fn is None else weight_fn(src, dst)
+        return from_sorted_edges(src, dst, self.num_nodes, weights)
 
 
 class ContinuousPatternMonitor:

@@ -136,30 +136,42 @@ def from_edges(src: Iterable[int], dst: Iterable[int], num_nodes: Optional[int] 
         if w is not None:
             w = w[keep]
 
-    # Sort by (src, dst) -> CSR out-edge order.
-    order = np.lexsort((dst, src))
-    src_s, dst_s = src[order], dst[order]
-    w_s = None if w is None else w[order]
+    # Sort by (src, dst) -> CSR out-edge order (stable: duplicate edges
+    # keep their input order, and with it their weights).
+    order = stable_argsort(src * np.int64(num_nodes) + dst, num_nodes ** 2)
+    return from_sorted_edges(src[order], dst[order], num_nodes,
+                             None if w is None else w[order])
 
-    out_starts = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(out_starts, src_s + 1, 1)
-    np.cumsum(out_starts, out=out_starts)
 
-    # Reverse CSR: sort edge positions by (dst, src).
-    rorder = np.lexsort((src_s, dst_s))
-    in_starts = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(in_starts, dst_s + 1, 1)
-    np.cumsum(in_starts, out=in_starts)
+def from_sorted_edges(src: np.ndarray, dst: np.ndarray, num_nodes: int,
+                      weights: Optional[np.ndarray] = None) -> Graph:
+    """A :class:`Graph` adopting int64 edges already in CSR out-edge order.
 
+    The reverse CSR orders edge positions by ``(dst, src)``, which on
+    sorted input is a stable sort by ``dst`` alone."""
+    rorder = stable_argsort(dst, num_nodes)
+    out_deg, in_deg = (np.bincount(a, minlength=num_nodes) for a in (src, dst))
     return Graph(
         num_nodes=num_nodes,
-        out_starts=out_starts,
-        out_nbrs=dst_s,
-        in_starts=in_starts,
-        in_nbrs=src_s[rorder],
-        in_edge_index=rorder.astype(np.int64),
-        edge_weights=w_s,
+        out_starts=np.append(0, np.cumsum(out_deg)),
+        out_nbrs=dst,
+        in_starts=np.append(0, np.cumsum(in_deg)),
+        in_nbrs=src[rorder],
+        in_edge_index=rorder,
+        edge_weights=weights,
     )
+
+
+def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of int keys in ``[0, bound)``, by
+    LSD radix over 16-bit digits (numpy sorts 16-bit ints by counting)."""
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    shift = 16
+    while bound > 1 << shift:
+        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
 
 
 def from_networkx(g) -> Graph:

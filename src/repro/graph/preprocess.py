@@ -27,21 +27,20 @@ from typing import Optional
 
 import numpy as np
 
-from .csr import Graph, from_edges
+from .csr import Graph, from_sorted_edges, stable_argsort
 
 
 def _apply_order(graph: Graph, new_of_old: np.ndarray) -> Graph:
     """Rebuild the graph with vertex v renamed to new_of_old[v]."""
     src, dst = graph.edge_list()
-    g2 = from_edges(new_of_old[src], new_of_old[dst],
-                    num_nodes=graph.num_nodes,
-                    weights=graph.edge_weights)
-    if graph.edge_props:
-        # Edge properties follow their edges: recompute the permutation the
-        # CSR sort applied by tagging each edge with its original position.
-        order = np.lexsort((new_of_old[dst], new_of_old[src]))
-        for name, values in graph.edge_props.items():
-            g2.add_edge_property(name, values[order])
+    src, dst = new_of_old[src], new_of_old[dst]
+    n = graph.num_nodes
+    order = stable_argsort(src * n + dst, n ** 2)
+    w = graph.edge_weights
+    g2 = from_sorted_edges(src[order], dst[order], n,
+                           None if w is None else w[order])
+    for name, values in (graph.edge_props or {}).items():
+        g2.add_edge_property(name, values[order])
     return g2
 
 

@@ -51,6 +51,18 @@ class TestDynamicGraph:
         with pytest.raises(ValueError):
             dyn.add_edge(0, 5)
 
+    @pytest.mark.parametrize("edges", [[(0, 9)], [(-1, 2)], [(0, 9), (-1, 2)],
+                                       [(1, 2), (4, 0)]])
+    def test_out_of_range_base_edges_rejected(self, edges):
+        """Base edges get the same range check as added ones: a packed key
+        of an out-of-range edge would alias an in-range edge."""
+        with pytest.raises(ValueError, match="outside vertex range"):
+            DynamicGraph(4, edges)
+
+    def test_has_edge_outside_range_is_false(self):
+        dyn = DynamicGraph(4, [(2, 1)])  # key 9 == packed (0, 9)
+        assert dyn.has_edge(2, 1) and not dyn.has_edge(0, 9)
+
     def test_epoch_and_history(self):
         dyn = DynamicGraph(3)
         dyn.add_edge(0, 1)

@@ -9,9 +9,11 @@ batches — exactly the gap hypothesis fills.
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.incremental import hash_weights
 from repro.dynamic import DynamicGraph
 from repro.graph.csr import from_edges
 
@@ -144,6 +146,35 @@ class TestBatchResolution:
             raise AssertionError("expected KeyError for pre-batch-absent "
                                  "edge removal")
 
+    def test_over_removal_rejects_the_whole_batch(self):
+        """Removing an edge more often than it has copies rejects the batch
+        before any change: base + history still replays to the live
+        multiset."""
+        dyn = DynamicGraph(4, [(0, 1), (2, 3)])
+        dyn.remove_edge(0, 1)
+        dyn.remove_edge(0, 1)
+        dyn.add_edge(1, 2)
+        with pytest.raises(KeyError):
+            dyn.apply_updates()
+        assert dyn.edge_list() == [(0, 1), (2, 3)]
+        assert dyn.num_edges == 2 and dyn.has_edge(0, 1)
+        assert not dyn.has_edge(1, 2)
+        assert dyn.epoch == 0 and dyn.history == []
+
+    @given(st.lists(edge, min_size=1, max_size=8), st.integers(0, 10 ** 6),
+           st.integers(1, 3))
+    @slow
+    def test_over_removal_leaves_state_unchanged(self, base, pick, extra):
+        dyn = DynamicGraph(N, base)
+        before = dyn.edge_list()
+        e = base[pick % len(base)]
+        for _ in range(Counter(base)[e] + extra):
+            dyn.remove_edge(*e)
+        with pytest.raises(KeyError):
+            dyn.apply_updates()
+        assert dyn.edge_list() == before
+        assert dyn.epoch == 0 and dyn.history == []
+
 
 class TestSnapshots:
     @given(scenario)
@@ -158,8 +189,17 @@ class TestSnapshots:
         np.testing.assert_array_equal(snap.out_nbrs, want.out_nbrs)
         np.testing.assert_array_equal(snap.in_starts, want.in_starts)
         np.testing.assert_array_equal(snap.in_nbrs, want.in_nbrs)
+        np.testing.assert_array_equal(snap.in_edge_index, want.in_edge_index)
         assert snap.num_nodes == N
         assert snap.num_edges == sum(model.values())
+        weights = hash_weights(seed=5)
+        src = np.array([e[0] for e in edges], dtype=np.int64)
+        dst = np.array([e[1] for e in edges], dtype=np.int64)
+        wsnap = dyn.snapshot(weights)
+        wwant = from_edges(src, dst, num_nodes=N, weights=weights(src, dst))
+        assert wsnap.edge_weights.tobytes() == wwant.edge_weights.tobytes()
+        np.testing.assert_array_equal(wsnap.in_edge_index,
+                                      wwant.in_edge_index)
 
     @given(scenario)
     @slow

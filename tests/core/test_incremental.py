@@ -131,6 +131,39 @@ class TestEpochBuild:
         assert new.partitioning is old.partitioning
         assert new.ghost_gids is old.ghost_gids
 
+    def test_reused_machines_adopt_routing_caches(self):
+        """A reused machine shares the previous epoch's routing-plan cache
+        and stage-slot map (both derive only from the adopted CSRs); a
+        patched machine starts fresh ones.  The pinned older epoch still
+        computes its own oracle values after newer epochs install."""
+        from repro.algorithms.sssp import sssp
+        from repro.algorithms.wcc import wcc
+
+        oracle = self._engine()
+        eng = oracle.engine
+        eng.sssp()
+        eng.wcc()
+        pinned = eng.pin()
+        want_dist = oracle.expected("sssp").values
+        want_comp = oracle.expected("wcc").values
+        assert all(len(m.plan_cache) for m in pinned.machines)
+        for batch in range(2):
+            prev = eng.dg
+            lo, hi = prev.partitioning.machine_range(batch)
+            eng.dynamic.add_edge(int(lo), int(hi - 1))
+            eng.mutate()
+            eng.sssp()
+            new = eng.dg
+            for i, m in enumerate(new.machines):
+                old_m = prev.machines[i]
+                shared = i != batch
+                assert (m.plan_cache is old_m.plan_cache) == shared
+                assert (m._stage_slots is old_m._stage_slots) == shared
+        np.testing.assert_array_equal(
+            sssp(oracle.cluster, pinned, root=0).values["dist"], want_dist)
+        np.testing.assert_array_equal(
+            wcc(oracle.cluster, pinned).values["component"], want_comp)
+
     def test_pinned_epoch_is_isolated_from_mutations(self):
         oracle = self._engine()
         eng = oracle.engine

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.csr import Graph, from_edges, from_networkx
+from repro.graph.csr import Graph, from_edges, from_networkx, from_sorted_edges
 
 
 class TestFromEdges:
@@ -92,6 +92,48 @@ class TestReverseCsr:
         assert np.array_equal(g2.out_starts, small_rmat.out_starts)
         assert np.array_equal(g2.out_nbrs, small_rmat.out_nbrs)
         assert np.array_equal(g2.in_nbrs, small_rmat.in_nbrs)
+
+
+def reference_csr(src, dst, num_nodes):
+    """CSR assembly by two lexsorts and ``np.add.at``: the reference the
+    factored assembly in ``from_sorted_edges`` must equal."""
+    order = np.lexsort((dst, src))
+    src_s, dst_s = src[order], dst[order]
+    out_starts = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.add.at(out_starts, src_s + 1, 1)
+    np.cumsum(out_starts, out=out_starts)
+    rorder = np.lexsort((src_s, dst_s))
+    in_starts = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.add.at(in_starts, dst_s + 1, 1)
+    np.cumsum(in_starts, out=in_starts)
+    return out_starts, dst_s, in_starts, src_s[rorder], rorder, order
+
+
+class TestSortedAssembly:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_lexsort_reference(self, seed):
+        """Random multigraphs with duplicates and self-loops: both the
+        factored assembly and ``from_edges`` equal the reference."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        m = int(rng.integers(0, 4 * n))
+        src = rng.integers(0, n, m)
+        dst = rng.integers(0, n, m)
+        src[: m // 4] = dst[: m // 4]                       # self-loops
+        src = np.concatenate([src, src[: m // 3]])          # duplicates
+        dst = np.concatenate([dst, dst[: m // 3]])
+        w = rng.random(len(src))
+        out_starts, out_nbrs, in_starts, in_nbrs, rorder, order = \
+            reference_csr(src, dst, n)
+        sorted_g = from_sorted_edges(src[order], dst[order], n, w[order])
+        g = from_edges(src, dst, num_nodes=n, weights=w)
+        for got in (sorted_g, g):
+            assert np.array_equal(got.out_starts, out_starts)
+            assert np.array_equal(got.out_nbrs, out_nbrs)
+            assert np.array_equal(got.in_starts, in_starts)
+            assert np.array_equal(got.in_nbrs, in_nbrs)
+            assert np.array_equal(got.in_edge_index, rorder)
+            assert got.edge_weights.tobytes() == w[order].tobytes()
 
 
 class TestNetworkxConversion:
