@@ -51,17 +51,10 @@ def deliver_request(exc: "JobExecution", msg: Message) -> None:
         return
     machine = exc.machines[msg.dst]
     machine.request_queue.append(msg)
-    # One queue-depth sample per request, taken at enqueue time (the copier
-    # drain used to emit a second, redundant sample per request).  Both
-    # emits are guarded so an unsubscribed bus costs no payload dict.
-    if exc.emit_enqueue or exc.emit_queue_depth:
-        depth = len(machine.request_queue)
-        if exc.emit_enqueue:
-            exc.hooks.emit("comm.enqueue", machine=msg.dst,
-                           kind=msg.kind.value, depth=depth, time=exc.sim.now)
-        if exc.emit_queue_depth:
-            exc.hooks.emit("comm.queue_depth", machine=msg.dst, depth=depth,
-                           time=exc.sim.now)
+    # One event per request; it carries the queue depth at enqueue time.
+    if exc.emit_enqueue:
+        exc.hooks.emit("comm.enqueue", machine=msg.dst, kind=msg.kind.value,
+                       depth=len(machine.request_queue), time=exc.sim.now)
     for cs in exc.copiers[msg.dst]:
         if not cs.busy:
             cs.busy = True

@@ -419,6 +419,8 @@ class PgxdCluster:
 
     def advance(self, seconds: float) -> None:
         """Model sequential (driver) computation between parallel regions."""
+        if not seconds >= 0:
+            raise ValueError(f"negative duration {seconds!r}")
         self.sim.run(until=self.sim.now + seconds)
 
     def barrier(self) -> float:

@@ -115,7 +115,6 @@ class JobExecution:
             self.emit_chunk_end = hooks.has("task.chunk_end")
             self.emit_copier_start = hooks.has("comm.copier_start")
             self.emit_copier_done = hooks.has("comm.copier_done")
-            self.emit_queue_depth = hooks.has("comm.queue_depth")
             self.emit_enqueue = hooks.has("comm.enqueue")
             self.emit_flush = hooks.has("comm.flush")
             self.emit_ghost_class = (hooks.has("ghost.hit")
@@ -125,7 +124,7 @@ class JobExecution:
         else:
             self.emit_chunk_start = self.emit_chunk_end = True
             self.emit_copier_start = self.emit_copier_done = True
-            self.emit_queue_depth = self.emit_enqueue = True
+            self.emit_enqueue = True
             self.emit_flush = self.emit_ghost_class = True
             self.emit_plan_cache = True
             self.emit_disk_read = True

@@ -29,7 +29,6 @@ KNOWN_HOOKS = (
     "task.chunk_end",      # machine, worker, kind, job, start, duration
     "comm.enqueue",        # machine, kind, depth, time
     "comm.flush",          # machine, worker, dst, prop, kind, items, time
-    "comm.queue_depth",    # machine, depth, time
     "comm.copier_start",   # machine, copier, kind, items, time
     "comm.copier_done",    # machine, copier, kind, items, start, duration
     "comm.combine",        # machine, dst, prop, items_in, items_out, time

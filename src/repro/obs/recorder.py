@@ -43,11 +43,12 @@ class MetricsRecorder:
             "repro_comm_requests_total",
             "Request messages enqueued at destinations", ("kind",))
         self.queue_depth = r.gauge(
-            "repro_comm_queue_depth", "Current request-queue depth",
+            "repro_comm_queue_depth",
+            "Request-queue depth at the most recent enqueue",
             ("machine",))
         self.queue_depth_samples = r.histogram(
             "repro_comm_queue_depth_samples",
-            "Request-queue depth observed at enqueue/dequeue",
+            "Request-queue depth observed at each enqueue",
             buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024))
         self.copier_busy = r.counter(
             "repro_copier_busy_seconds_total",
@@ -227,7 +228,6 @@ class MetricsRecorder:
             "task.chunk_end": self._on_chunk_end,
             "comm.flush": self._on_flush,
             "comm.enqueue": self._on_enqueue,
-            "comm.queue_depth": self._on_queue_depth,
             "comm.copier_done": self._on_copier_done,
             "net.send": self._on_net_send,
             "net.drop": self._on_net_drop,
@@ -303,8 +303,6 @@ class MetricsRecorder:
 
     def _on_enqueue(self, p: dict) -> None:
         self._kind_child(self.comm_requests, p["kind"]).inc()
-
-    def _on_queue_depth(self, p: dict) -> None:
         self._machine_child(self.queue_depth, p["machine"]).set(p["depth"])
         self.queue_depth_samples.observe(p["depth"])
 

@@ -23,6 +23,8 @@ class MachineCpu:
         self.config = config
         self.dram = DramModel(config)
         self.active_threads: int = 0
+        #: active-thread count -> (random, streaming) seconds per byte
+        self._byte_costs: dict[int, tuple[float, float]] = {}
         # Busy-time integral for utilization reporting.
         self._busy_time: float = 0.0
 
@@ -72,10 +74,19 @@ class MachineCpu:
 
     def mixed_duration(self, cpu_ops: float, atomic_ops: float,
                        random_bytes: float, seq_bytes: float) -> float:
-        """Duration for work mixing random gathers with streaming scans."""
+        """Duration for work mixing random gathers with streaming scans.
+
+        Per-byte costs are memoized per active-thread count: ``access_time``
+        is ``nbytes * cost`` and ``1.0 * cost`` is exact, so the products
+        match the unmemoized calls bit for bit.
+        """
         cfg = self.config
         n = max(1, self.active_threads)
+        costs = self._byte_costs.get(n)
+        if costs is None:
+            costs = self._byte_costs[n] = (self.dram.access_time(1.0, n, 0.0),
+                                           self.dram.access_time(1.0, n, 1.0))
         cpu_time = cpu_ops * cfg.cpu_op_time + atomic_ops * cfg.atomic_op_time
-        mem_time = (self.dram.access_time(random_bytes, n, locality=0.0)
-                    + self.dram.access_time(seq_bytes, n, locality=1.0))
+        mem_time = ((0.0 if random_bytes <= 0 else random_bytes * costs[0])
+                    + (0.0 if seq_bytes <= 0 else seq_bytes * costs[1]))
         return (cpu_time + mem_time) * self.oversubscription_factor()

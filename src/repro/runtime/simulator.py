@@ -8,14 +8,16 @@ O(chunks + messages) events, not O(edges).
 Determinism: ties in event time are broken by insertion sequence number, so
 two runs with the same inputs produce bit-identical schedules and clocks.
 
-Hot path: the engine's dominant event pattern is zero-delay wake/work/done
-cycles at the current clock.  Those bypass the heap through a FIFO *run
-queue* (same-time events in seq order are FIFO by construction) and, when
-scheduled through :meth:`Simulator.schedule_fast`, reuse :class:`Event`
-objects from a free list.  Both fast paths preserve (time, tie, seq) order
-exactly: the dispatcher always executes the minimum of the heap head and the
-run-queue head, and the run queue is only used while no tie breaker is
-installed (every tie key is 0, so seq order *is* the sort order).
+Hot path: queue entries are ``(time, tie, seq, event)`` tuples, so ``heapq``
+orders them in C.  The engine's dominant event pattern is zero-delay
+wake/work/done cycles at the current clock.  Those bypass the heap through a
+FIFO *run queue* (same-time events in seq order are FIFO by construction)
+and, when scheduled through :meth:`Simulator.schedule_fast`, reuse
+:class:`Event` objects from a free list.  Both fast paths preserve (time,
+tie, seq) order exactly: the one dispatch loop (:meth:`Simulator.step_while`)
+always executes the smaller key of the heap head and the run-queue head, and
+the run queue is only used while no tie breaker is installed (every tie key
+is 0, so seq order *is* the sort order).
 
 Schedule perturbation: :meth:`Simulator.set_tie_breaker` installs a seeded
 tie key drawn per event that sorts *between* time and sequence number.  It
@@ -35,7 +37,11 @@ from typing import Any, Callable, Generator, Optional
 
 
 class Event:
-    """A scheduled callback.  Cancelable; compares by (time, tie, seq).
+    """A scheduled callback handle.  Cancelable; never compared.
+
+    The simulator queues ``(time, tie, seq, event)`` entries.  ``seq`` is
+    unique, so ``heapq`` orders entries by their keys in C and never
+    reaches the event.
 
     ``recycle`` marks events created through the :meth:`Simulator
     .schedule_fast` free-list path: their handles are by contract discarded
@@ -46,23 +52,16 @@ class Event:
     event.
     """
 
-    __slots__ = ("time", "tie", "seq", "fn", "args", "cancelled", "recycle")
+    __slots__ = ("fn", "args", "cancelled", "recycle")
 
-    def __init__(self, time: float, seq: int, fn: Callable, args: tuple,
-                 tie: int = 0):
-        self.time = time
-        self.tie = tie
-        self.seq = seq
+    def __init__(self, fn: Callable, args: tuple):
         self.fn = fn
         self.args = args
         self.cancelled = False
         self.recycle = False
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.tie, self.seq) < (other.time, other.tie, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Event(t={self.time:.9f}, seq={self.seq}, fn={getattr(self.fn, '__name__', self.fn)})"
+        return f"Event(fn={getattr(self.fn, '__name__', self.fn)})"
 
 
 class Simulator:
@@ -87,9 +86,10 @@ class Simulator:
     def __init__(self, fast_path: bool = True) -> None:
         self.now: float = 0.0
         self.fast_path = fast_path
-        self._heap: list[Event] = []
-        #: zero-delay events at the current clock, in seq order (tie == 0)
-        self._runq: deque[Event] = deque()
+        #: ``(time, tie, seq, event)`` entries
+        self._heap: list[tuple] = []
+        #: zero-delay entries at the current clock, in seq order (tie == 0)
+        self._runq: deque[tuple] = deque()
         self._seq: int = 0
         #: scheduled-and-not-yet-cancelled events (O(1) ``pending``)
         self._live: int = 0
@@ -119,8 +119,8 @@ class Simulator:
         self._tie_rng = None if seed is None else random.Random(seed)
         self.tie_breaker_seed = seed
         if self._runq:
-            for ev in self._runq:
-                heapq.heappush(self._heap, ev)
+            for entry in self._runq:
+                heapq.heappush(self._heap, entry)
             self._runq.clear()
 
     def _tie(self) -> int:
@@ -130,23 +130,24 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` simulated seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        ev = Event(self.now + delay, self._seq, fn, args, tie=self._tie())
+        ev = Event(fn, args)
+        entry = (self.now + delay, self._tie(), self._seq, ev)
         self._seq += 1
         self._live += 1
         if delay == 0.0 and self.fast_path and self._tie_rng is None:
-            self._runq.append(ev)
+            self._runq.append(entry)
         else:
-            heapq.heappush(self._heap, ev)
+            heapq.heappush(self._heap, entry)
         return ev
 
     def schedule_at(self, time: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute simulated time."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        ev = Event(time, self._seq, fn, args, tie=self._tie())
+        ev = Event(fn, args)
+        heapq.heappush(self._heap, (time, self._tie(), self._seq, ev))
         self._seq += 1
         self._live += 1
-        heapq.heappush(self._heap, ev)
         return ev
 
     def schedule_fast(self, delay: float, fn: Callable, *args: Any) -> None:
@@ -163,11 +164,11 @@ class Simulator:
             return
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        ev = self._acquire(self.now + delay, fn, args)
+        entry = self._acquire(self.now + delay, fn, args)
         if delay == 0.0:
-            self._runq.append(ev)
+            self._runq.append(entry)
         else:
-            heapq.heappush(self._heap, ev)
+            heapq.heappush(self._heap, entry)
 
     def schedule_at_fast(self, time: float, fn: Callable, *args: Any) -> None:
         """Absolute-time :meth:`schedule_fast` (handle discarded, pooled)."""
@@ -178,23 +179,22 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
         heapq.heappush(self._heap, self._acquire(time, fn, args))
 
-    def _acquire(self, time: float, fn: Callable, args: tuple) -> Event:
+    def _acquire(self, time: float, fn: Callable, args: tuple) -> tuple:
+        """A queue entry at ``time`` (tie 0) around a pooled event."""
         pool = self._pool
         if pool:
             ev = pool.pop()
-            ev.time = time
-            ev.tie = 0
-            ev.seq = self._seq
             ev.fn = fn
             ev.args = args
             ev.cancelled = False
             self._pool_hits += 1
         else:
-            ev = Event(time, self._seq, fn, args)
+            ev = Event(fn, args)
             ev.recycle = True
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
         self._live += 1
-        return ev
+        return (time, 0, seq, ev)
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event (no-op if it already ran or was cancelled)."""
@@ -212,101 +212,77 @@ class Simulator:
         Returns the number of live events discarded.
         """
         dropped = self._live
-        for ev in self._heap:
-            ev.cancelled = True
-        for ev in self._runq:
-            ev.cancelled = True
-        self._heap.clear()
-        self._runq.clear()
+        for queue in (self._heap, self._runq):
+            for entry in queue:
+                entry[3].cancelled = True
+            queue.clear()
         self._live = 0
         return dropped
 
     # -- execution ---------------------------------------------------------
 
-    def _pop_next(self) -> Optional[Event]:
-        """Remove and return the minimum live event across heap and run queue."""
-        heap, runq = self._heap, self._runq
-        while True:
-            while runq and runq[0].cancelled:
-                runq.popleft()
-            while heap and heap[0].cancelled:
-                heapq.heappop(heap)
-            if runq:
-                # Run-queue entries carry tie 0 and time == now; the heap may
-                # still hold an earlier-seq event at the same instant, so the
-                # dispatch order is decided by the full (time, tie, seq) key.
-                if heap and heap[0] < runq[0]:
-                    return heapq.heappop(heap)
-                return runq.popleft()
-            if heap:
-                return heapq.heappop(heap)
-            return None
+    def step_while(self, cond: Optional[Callable[[], bool]] = None,
+                   until: Optional[float] = None,
+                   max_events: Optional[int] = None) -> bool:
+        """Run events in ``(time, tie, seq)`` order while ``cond()`` holds.
 
-    def _peek_next(self) -> Optional[Event]:
-        """The minimum live event without removing it (cancelled are purged)."""
-        heap, runq = self._heap, self._runq
-        while runq and runq[0].cancelled:
-            runq.popleft()
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-        if runq:
-            if heap and heap[0] < runq[0]:
-                return heap[0]
-            return runq[0]
-        return heap[0] if heap else None
+        The one dispatch loop: :meth:`step` and :meth:`run` call it too.
+        ``cond=None`` means always; ``until`` leaves later events queued;
+        ``max_events`` caps how many events run.  Returns ``False`` when no
+        event is left to run (none at all, or none at or before ``until``)
+        with the condition still true — the engine's stall signal — and
+        ``True`` otherwise.  Exceptions raised by event callbacks (e.g. an
+        injected :class:`~repro.core.faults.MachineCrashError`) propagate to
+        the caller with ``now``, ``pending`` and ``events_executed`` already
+        counting the failing event.
+        """
+        heap, runq, pool = self._heap, self._runq, self._pool
+        heappop, popleft = heapq.heappop, runq.popleft
+        cap = self.POOL_CAP
+        while cond is None or cond():
+            if max_events is not None:
+                if max_events <= 0:
+                    return True
+                max_events -= 1
+            while runq and runq[0][3].cancelled:
+                popleft()
+            while heap and heap[0][3].cancelled:
+                heappop(heap)
+            # Run-queue entries sit at ``now`` with tie 0, but the heap may
+            # still hold an earlier-seq entry at the same instant, so the
+            # full (time, tie, seq) keys decide.
+            if runq and not (heap and heap[0] < runq[0]):
+                self.now, _, _, ev = popleft()
+            elif heap and (until is None or heap[0][0] <= until):
+                self.now, _, _, ev = heappop(heap)
+            else:
+                return False
+            self._live -= 1
+            self._events_executed += 1
+            fn, args = ev.fn, ev.args
+            # Mark the event dead *before* running it: a stale cancel of a
+            # fired handle must be a no-op (and must not decrement the live
+            # counter).
+            ev.cancelled = True
+            if ev.recycle:
+                ev.fn = None
+                ev.args = ()
+                if len(pool) < cap:
+                    pool.append(ev)
+            fn(*args)
+        return True
 
     def step(self) -> bool:
         """Run the single next event.  Returns False when the queue is empty."""
-        ev = self._pop_next()
-        if ev is None:
-            return False
-        if ev.time < self.now:  # pragma: no cover - defensive
-            raise RuntimeError("event queue went backwards in time")
-        self.now = ev.time
-        self._live -= 1
-        self._events_executed += 1
-        fn, args = ev.fn, ev.args
-        # Mark the event dead *before* running it: a stale cancel of a fired
-        # handle must be a no-op (and must not decrement the live counter).
-        ev.cancelled = True
-        if ev.recycle:
-            ev.fn = None
-            ev.args = ()
-            if len(self._pool) < self.POOL_CAP:
-                self._pool.append(ev)
-        fn(*args)
-        return True
-
-    def step_while(self, cond: Callable[[], bool]) -> bool:
-        """Run events while ``cond()`` holds.
-
-        Returns ``True`` when ``cond()`` became false, ``False`` when the
-        queue drained with the condition still true — the engine's stall
-        signal.  Exceptions raised by event callbacks (e.g. an injected
-        :class:`~repro.core.faults.MachineCrashError`) propagate to the
-        caller with the clock already advanced to the failing event.
-        """
-        while cond():
-            if not self.step():
-                return False
-        return True
+        return self.step_while(max_events=1)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Drain the queue, optionally stopping at ``until`` or after
-        ``max_events`` additional events."""
-        executed = 0
-        while True:
-            nxt = self._peek_next()
-            if nxt is None:
-                break
-            if until is not None and nxt.time > until:
-                self.now = until
-                return
-            if max_events is not None and executed >= max_events:
-                return
-            self.step()
-            executed += 1
-        if until is not None and until > self.now:
+        """Drain the queue, optionally stopping at ``until`` (the clock then
+        reads ``until``) or after ``max_events`` additional events.  An
+        ``until`` earlier than ``now`` raises ``ValueError``."""
+        if until is not None and not until >= self.now:
+            raise ValueError(f"cannot run until the past: {until} < {self.now}")
+        if not self.step_while(until=until, max_events=max_events) and until is not None:
             self.now = until
 
     @property

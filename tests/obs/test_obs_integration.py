@@ -167,3 +167,35 @@ class TestServerRollups:
 
 def cluster_barriers(server):
     return server.cluster.metrics.counters_flat()["repro_barriers_total"]
+
+
+class TestQueueDepthMetrics:
+    """``comm.enqueue`` is the one event per request; it drives the request
+    counter and both queue-depth metrics."""
+
+    def test_depth_metrics_follow_enqueue_events(self, small_rmat):
+        cluster = make_cluster(3, 30)
+        depths: list[int] = []
+        last_depth: dict[int, int] = {}
+
+        def on_enqueue(p):
+            depths.append(p["depth"])
+            last_depth[p["machine"]] = p["depth"]
+
+        cluster.hooks.subscribe("comm.enqueue", on_enqueue)
+        dg = cluster.load_graph(small_rmat)
+        dg.add_property("x", init=1.0)
+        dg.add_property("t", init=0.0)
+        cluster.run_job(dg, pull_job())
+        cluster.run_job(dg, EdgeMapJob(name="push", spec=EdgeMapSpec(
+            direction="push", source="x", target="t", op=ReduceOp.SUM)))
+        reg = cluster.metrics
+        requests = sum(c.value for _, c in
+                       reg.get("repro_comm_requests_total").children())
+        samples = reg.get("repro_comm_queue_depth_samples")
+        assert requests == len(depths) > 0
+        assert samples.count == requests
+        assert samples.sum == sum(depths)
+        gauge = {int(key[0]): c.value for key, c in
+                 reg.get("repro_comm_queue_depth").children()}
+        assert gauge == last_depth

@@ -8,7 +8,11 @@ ordering is indistinguishable from the legacy heap-only path, and the
 pool stays safe under cancellation and ``clear_pending`` (crash recovery).
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.simulator import Simulator
 
@@ -177,3 +181,122 @@ class TestOrderingEquivalence:
         sim.schedule(0.0, hits.append, "late")
         sim.run()
         assert "early" in hits and "late" in hits
+
+
+# -- the dispatch contract ---------------------------------------------------
+
+_SCHEDULERS = ("schedule", "schedule_fast", "schedule_at_fast")
+#: few distinct delays, weighted to zero, so equal-time ties are common
+_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0])
+_CHILD = st.none() | st.tuples(st.sampled_from(_SCHEDULERS), _DELAYS)
+_OPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(_SCHEDULERS), _DELAYS, _CHILD),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("step_while"), st.integers(0, 6)),
+    st.tuples(st.just("run_until"), _DELAYS),
+    st.tuples(st.just("tie"), st.none() | st.integers(0, 2 ** 16)),
+), max_size=60)
+
+
+class _DispatchChecker:
+    """Drives a :class:`Simulator` and mirrors the ``(time, tie, seq)`` key of
+    every live event; each firing event must hold the minimum live key."""
+
+    def __init__(self, fast_path: bool, seed):
+        self.sim = Simulator(fast_path=fast_path)
+        self.live: dict[int, tuple] = {}
+        self.handles: list = []
+        self.tie_rng = None
+        self.seq = 0
+        self.fired = 0
+        self.set_tie_breaker(seed)
+
+    def set_tie_breaker(self, seed) -> None:
+        self.sim.set_tie_breaker(seed)
+        self.tie_rng = None if seed is None else random.Random(seed)
+
+    def schedule(self, how: str, delay: float, child=None) -> None:
+        sim = self.sim
+        time = sim.now + delay
+        tie = self.tie_rng.getrandbits(32) if self.tie_rng is not None else 0
+        eid = self.seq
+        self.seq += 1
+        self.live[eid] = (time, tie, eid)
+        if how == "schedule":
+            self.handles.append((eid, sim.schedule(delay, self._fire, eid,
+                                                   child)))
+        elif how == "schedule_fast":
+            sim.schedule_fast(delay, self._fire, eid, child)
+        else:
+            sim.schedule_at_fast(time, self._fire, eid, child)
+
+    def _fire(self, eid: int, child) -> None:
+        assert self.live[eid] == min(self.live.values())
+        assert self.sim.now == self.live.pop(eid)[0]
+        self.fired += 1
+        if child is not None:
+            self.schedule(*child)
+
+    def apply(self, op) -> None:
+        sim, kind = self.sim, op[0]
+        if kind in _SCHEDULERS:
+            self.schedule(*op)
+        elif kind == "cancel":
+            if self.handles:
+                eid, ev = self.handles[op[1] % len(self.handles)]
+                sim.cancel(ev)
+                self.live.pop(eid, None)
+        elif kind == "step_while":
+            target = self.fired + op[1]
+            more = sim.step_while(lambda: self.fired < target)
+            # False only when the queue drained with the condition still true
+            assert more == (self.fired == target)
+            assert more or not self.live
+        elif kind == "run_until":
+            until = sim.now + op[1]
+            sim.run(until=until)
+            assert sim.now == until
+            assert all(key[0] > until for key in self.live.values())
+        else:
+            self.set_tie_breaker(op[1])
+        assert sim.pending == len(self.live)
+
+
+class TestDispatchContract:
+    @pytest.mark.parametrize("fast_path", [True, False])
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.none() | st.integers(0, 2 ** 16), ops=_OPS)
+    def test_events_fire_in_key_order_of_live_events(self, fast_path, seed,
+                                                     ops):
+        checker = _DispatchChecker(fast_path, seed)
+        for op in ops:
+            checker.apply(op)
+        checker.sim.run()
+        assert not checker.live
+        assert checker.sim.pending == 0
+        assert checker.sim.events_executed == checker.fired
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_raising_callback_leaves_state_consistent(self, fast_path):
+        sim = Simulator(fast_path=fast_path)
+        hits = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule_fast(0.0, hits.append, "a")
+        sim.schedule(1.0, boom)
+        sim.schedule_fast(1.0, hits.append, "b")  # same instant, after boom
+        sim.schedule(2.0, hits.append, "c")
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.step_while(lambda: True)
+        assert hits == ["a"]
+        assert sim.now == 1.0
+        assert sim.events_executed == 2
+        assert sim.pending == 2
+        # the next call resumes with the event after the failing one
+        assert sim.step_while(lambda: len(hits) < 2) is True
+        assert hits == ["a", "b"] and sim.now == 1.0
+        assert sim.step_while(lambda: True) is False
+        assert hits == ["a", "b", "c"] and sim.now == 2.0
+        assert sim.pending == 0 and sim.events_executed == 4

@@ -1,5 +1,7 @@
 """DRAM saturation model, LLC adjustment, CPU thread accounting."""
 
+import itertools
+
 import pytest
 
 from repro.runtime.config import MachineConfig
@@ -130,3 +132,43 @@ class TestMachineCpu:
             cpu.thread_started()
         crowded = cpu.mixed_duration(0, 0, 10_000, 0)
         assert crowded > solo
+
+
+class TestByteCostMemo:
+    """``mixed_duration`` memoizes per-byte costs per active-thread count; it
+    must equal the unmemoized two-``access_time`` formula bit for bit."""
+
+    @staticmethod
+    def _unmemoized(cpu, cpu_ops, atomic_ops, random_bytes, seq_bytes):
+        cfg = cpu.config
+        n = max(1, cpu.active_threads)
+        cpu_time = cpu_ops * cfg.cpu_op_time + atomic_ops * cfg.atomic_op_time
+        mem_time = (cpu.dram.access_time(random_bytes, n, locality=0.0)
+                    + cpu.dram.access_time(seq_bytes, n, locality=1.0))
+        return (cpu_time + mem_time) * cpu.oversubscription_factor()
+
+    @pytest.mark.parametrize("hw_threads", [1, 4, 32])
+    def test_matches_unmemoized_formula_bit_for_bit(self, hw_threads):
+        cpu = MachineCpu(MachineConfig(hw_threads=hw_threads))
+        ops = (0, 1, 3.5, 12345.678)
+        byte_counts = (0, 0.0, -8.0, 1e-300, 1, 3.7, 8, 4096, 123456789.25,
+                       1e18, 1e300)
+        # 0 active threads prices as 1; up to 2x hw_threads oversubscribes.
+        for active in range(0, 2 * hw_threads + 1):
+            if active:
+                cpu.thread_started()
+            assert cpu.active_threads == active
+            for cpu_ops, atomic_ops, rnd, seq in itertools.product(
+                    ops, ops, byte_counts, byte_counts):
+                got = cpu.mixed_duration(cpu_ops, atomic_ops, rnd, seq)
+                want = self._unmemoized(cpu, cpu_ops, atomic_ops, rnd, seq)
+                assert float(got).hex() == float(want).hex(), (
+                    active, cpu_ops, atomic_ops, rnd, seq)
+
+    def test_non_positive_bytes_cost_nothing(self):
+        cpu = MachineCpu(MachineConfig())
+        cpu.thread_started()
+        assert cpu.mixed_duration(0, 0, 0, 0) == 0.0
+        assert cpu.mixed_duration(0, 0, -1e6, -1.0) == 0.0
+        assert (cpu.mixed_duration(10, 0, -1e6, 0)
+                == cpu.mixed_duration(10, 0, 0, 0))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import ClusterConfig, PgxdCluster
 from repro.runtime.simulator import Get, Process, Simulator, Store, Timeout
 
 
@@ -116,6 +117,33 @@ class TestRunControls:
 
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
+
+    def test_run_until_the_past_raises_and_keeps_clock(self):
+        sim = Simulator()
+        hits = []
+        sim.schedule(5.0, hits.append, 1)
+        sim.run(until=1.0)
+        with pytest.raises(ValueError, match="past"):
+            sim.run(until=0.5)
+        assert sim.now == 1.0
+        assert sim.pending == 1
+        sim.run()
+        assert hits == [1] and sim.now == 5.0
+
+    def test_run_until_now_is_a_no_op(self):
+        sim = Simulator()
+        sim.run(until=2.0)
+        sim.run(until=2.0)
+        assert sim.now == 2.0
+
+    def test_cluster_advance_rejects_negative_seconds(self):
+        cluster = PgxdCluster(ClusterConfig(num_machines=2))
+        cluster.advance(1e-3)
+        with pytest.raises(ValueError, match="negative"):
+            cluster.advance(-5e-4)
+        assert cluster.now == 1e-3
+        cluster.advance(0.0)
+        assert cluster.now == 1e-3
 
     def test_events_executed_counter(self):
         sim = Simulator()
